@@ -2,18 +2,41 @@
 
 Benchmarks print the reproduced tables/series to stdout (run with
 ``-s`` to see them live) and persist them under benchmarks/output/.
+Their wall-clock speedup floors are asserted only under
+``--bench-floors`` (see :func:`bench_floor`); parity and contract
+assertions always run.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import warnings
 
 import pytest
 
 from repro.eval.suite import BabiSuite, SuiteConfig
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+
+
+@pytest.fixture
+def bench_floor(request):
+    """``bench_floor(ok, message)``: a wall-clock floor check.
+
+    Asserts ``ok`` when pytest runs with ``--bench-floors`` (the CI
+    benchmark jobs); otherwise a missed floor is only a warning, so the
+    default run stays deterministic on a loaded or small host.
+    """
+    enforce = request.config.getoption("--bench-floors")
+
+    def check(ok: bool, message: str) -> None:
+        if enforce:
+            assert ok, message
+        elif not ok:
+            warnings.warn(f"floor not enforced: {message}", stacklevel=2)
+
+    return check
 
 
 def persist(name: str, text: str) -> None:

@@ -12,18 +12,20 @@ What is cached, and why it is bit-exact
 ---------------------------------------
 The unit of caching is one story *as it appears in a stacked batch*:
 the padded ``(slots, words)`` int64 token matrix, trimmed to the
-story's real sentence count (its resolved length). Every operation in
-:meth:`~repro.mann.batch.BatchInferenceEngine.write_memory` — the
-embedding gather, the bag-of-words sum over the words axis, the
-temporal-vector add and the slot masking — is row-wise per
-``(example, slot)``, so a story's memory rows are bit-identical no
-matter which batch (or batch *size*, or slot-padding width) they were
-computed in. The one shape that does leak into the floats is the
-padded **words** width: numpy's pairwise summation over the words axis
-associates differently at different widths, so the width is part of
-the key (trimmed stories of shape ``(length, words)`` hash whole). In
-practice every request stream encoded by one vocabulary shares a
-single sentence width and this costs no hits.
+story's real sentence count (its resolved length). Each memory row is
+its sentence's embedding rows summed left to right over the word
+columns, plus the slot's temporal vector, whatever the chunk, batch
+(or batch *size*) or slot padding it is computed in — see
+``repro.mann.batch._bag_of_words``. A story's memory rows are
+therefore bit-identical whether
+:meth:`~repro.mann.batch.BatchInferenceEngine.write_memory` embedded
+them among a whole padded batch or the miss path of
+:meth:`~repro.mann.batch.BatchInferenceEngine.write_memory_cached`
+embedded only the real sentences of the flush's misses. The padded
+**words** width is also part of the key (trimmed stories of shape
+``(length, words)`` hash whole). Trailing pad words add exact zeros,
+so this is not needed for exactness, but it is harmless: every request
+stream encoded by one vocabulary shares a single sentence width.
 
 Keys are a BLAKE2b content hash of the trimmed story bytes + shape.
 Hash collisions are guarded, not assumed away: every entry keeps its
@@ -164,12 +166,14 @@ class MemoryCache:
         mem_a: np.ndarray,
         mem_c: np.ndarray,
     ) -> None:
-        """Insert one story's memory rows (copies, detached from the
-        flush's batch arrays), evicting LRU entries past the bounds."""
+        """Insert one story's memory rows, evicting LRU entries past the
+        bounds. The entry stores copies: callers pass views into a
+        flush's batch arrays, which must not stay alive with the entry
+        (nor count against ``capacity_bytes`` at only the view's size)."""
         entry = _Entry(
-            story=np.ascontiguousarray(story, dtype=np.int64),
-            mem_a=np.ascontiguousarray(mem_a),
-            mem_c=np.ascontiguousarray(mem_c),
+            story=np.array(story, dtype=np.int64),
+            mem_a=np.array(mem_a),
+            mem_c=np.array(mem_c),
         )
         if self.capacity_bytes is not None and entry.nbytes > self.capacity_bytes:
             return  # larger than the whole budget: not cacheable

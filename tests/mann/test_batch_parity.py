@@ -18,6 +18,9 @@ from repro.mann import (
     MannConfig,
     MannWeights,
 )
+from repro.mann import batch as batch_module
+from repro.mann.batch import _bag_of_words
+from repro.serving.cache import MemoryCache
 
 ATOL = 1e-10
 
@@ -222,6 +225,88 @@ def test_engine_batch_helpers_delegate_to_batch_engine():
     assert engine.accuracy(stories, questions, answers, lengths) == 1.0
 
 
+# -- chunked bag-of-words gather: bit identity across chunk boundaries ---
+CHUNK = 10  # story sentences per gather chunk in the tests below
+
+
+def shrink_gather_budget(monkeypatch, engine) -> None:
+    """Set the kernel's byte budget to exactly CHUNK story sentences of
+    random_batch's 4 words, so small batches cross chunk boundaries.
+    Questions (half as wide an embedding) get 2 * CHUNK rows a chunk."""
+    sentence_bytes = 4 * engine._w_emb_ac[0].nbytes
+    monkeypatch.setattr(batch_module, "_GATHER_BUDGET_BYTES", CHUNK * sentence_bytes)
+
+
+def one_shot_write(engine, stories, lengths):
+    """The write phase as one (B, L, W, 2E) gather-and-sum: the
+    reference every chunked path must match bit for bit."""
+    w = engine.weights
+    embed = w.config.embed_dim
+    slots = stories.shape[1]
+    m = (np.arange(slots)[None, :] < lengths[:, None])[:, :, None]
+    bow = engine._w_emb_ac[stories].sum(axis=2)
+    mem_a = (bow[..., :embed] + w.t_a[:slots]) * m
+    mem_c = (bow[..., embed:] + w.t_c[:slots]) * m
+    return mem_a, mem_c
+
+
+def assert_same_bits_on_real_slots(expected, actual, lengths):
+    assert expected.dtype == actual.dtype
+    for i, n in enumerate(lengths):
+        assert expected[i, :n].tobytes() == actual[i, :n].tobytes()
+        assert not actual[i, n:].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "batch_size",
+    # x 5 slots = 5, 10, 20, 25 and 120 sentences against CHUNK = 10:
+    # below, at, a multiple of, not a multiple of, and (questions too)
+    # well above one chunk.
+    [1, 2, 4, 5, 24],
+)
+def test_write_memory_bit_identical_across_chunks(monkeypatch, dtype, batch_size):
+    rng = np.random.default_rng(300 + batch_size)
+    weights = random_weights(rng, dtype=dtype)
+    stories, questions, lengths = random_batch(rng, batch=batch_size)
+    engine = BatchInferenceEngine(weights)
+    shrink_gather_budget(monkeypatch, engine)
+
+    ref_a, ref_c = one_shot_write(engine, stories, lengths)
+    mem_a, mem_c, _ = engine.write_memory(stories, lengths)
+    assert_same_bits_on_real_slots(ref_a, mem_a, lengths)
+    assert_same_bits_on_real_slots(ref_c, mem_c, lengths)
+    trace = engine.forward_trace(stories, questions, lengths)
+    expected_keys = engine._w_emb_q[questions].sum(axis=1)
+    assert trace.keys[0].tobytes() == expected_keys.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cached_miss_path_bit_identical_across_chunks(monkeypatch, dtype):
+    """One flush mixing cache hits, misses and within-flush duplicates:
+    the miss path embeds only real sentences, several chunks' worth,
+    and must reproduce the padded whole-batch write bit for bit."""
+    rng = np.random.default_rng(400)
+    weights = random_weights(rng, dtype=dtype)
+    stories, _, lengths = random_batch(rng, batch=12)
+    cache = MemoryCache(capacity_entries=64)
+    engine = BatchInferenceEngine(weights, memory_cache=cache)
+    shrink_gather_budget(monkeypatch, engine)
+
+    engine.write_memory_cached(stories[:4], lengths[:4])  # rows 0-3 will hit
+    rows = list(range(12)) + [5, 9, 5]  # rows 5 and 9 repeat in the flush
+    flush, flush_lengths = stories[rows], lengths[rows]
+    mem_a, mem_c, _ = engine.write_memory_cached(flush, flush_lengths)
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.dedupes) == (4, 12, 3)
+    assert lengths[4:].sum() > CHUNK  # the misses span several chunks
+
+    ref_a, ref_c = one_shot_write(engine, flush, flush_lengths)
+    plain_a, plain_c, _ = engine.write_memory(flush, flush_lengths)
+    for expected_a, expected_c in ((ref_a, ref_c), (plain_a, plain_c)):
+        assert_same_bits_on_real_slots(expected_a, mem_a, flush_lengths)
+        assert_same_bits_on_real_slots(expected_c, mem_c, flush_lengths)
+
+
 class TestEmbeddingDtype:
     """Regression: embeddings must follow the matrix dtype, including
     the empty-sentence zero vector (previously always float64)."""
@@ -241,7 +326,7 @@ class TestEmbeddingDtype:
         weights = random_weights(rng, dtype=dtype)
         batch = BatchInferenceEngine(weights)
         indices = np.array([[0, 0, 0, 0], [3, 0, 5, 0]], dtype=np.int64)
-        out = batch.embed_sentences(indices, weights.w_emb_a)
+        out = _bag_of_words(batch._w_emb_q, indices)
         assert out.dtype == dtype
         assert np.array_equal(out[0], np.zeros(weights.config.embed_dim, dtype))
 

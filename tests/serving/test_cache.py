@@ -250,6 +250,34 @@ class TestMemoryCacheMechanics:
         assert stats.dedupes == 2  # the two replayed rows
         assert responses[0].logit == responses[2].logit == responses[3].logit
 
+    def test_entries_own_their_arrays(self, artifacts_dir):
+        """Entries must not be views into a flush's batch arrays: a view
+        would keep the whole stacked batch alive and count against
+        capacity_bytes at only its own size."""
+        from repro.artifacts import load_suite
+
+        predictor = open_predictor(artifacts_dir, 1, cache_entries=64)
+        test = load_suite(artifacts_dir).tasks[1].test_batch
+        requests = [
+            QueryRequest(
+                test.stories[i],
+                test.questions[i],
+                n_sentences=int(test.story_lengths[i]),
+            )
+            for i in range(4)
+        ]
+        predictor.predict_batch(requests[:1])
+        # One flush with a hit (0), misses (1, 2, 3) and a dedupe (2).
+        predictor.predict_batch(requests + requests[2:3])
+        cache = predictor.cache
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.dedupes) == (1, 4, 1)
+        entries = list(cache._entries.values())
+        assert len(entries) == 4
+        for entry in entries:
+            for array in (entry.story, entry.mem_a, entry.mem_c):
+                assert array.base is None and array.flags.owndata
+        assert cache.nbytes == sum(entry.nbytes for entry in entries)
+
     def test_collision_guard_end_to_end(self, artifacts_dir, monkeypatch):
         """Even with a degenerate (constant) hash the engine still
         answers every request correctly — collisions degrade to
