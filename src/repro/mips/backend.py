@@ -124,6 +124,10 @@ def inner_products(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (B, N) inner-product matrix ``queries @ rows.T`` — computed
     with a *partition-stable* kernel.
 
+    ``rows`` is one (N, E) matrix every query meets, or a (B, N, E)
+    stack holding query b's own matrix at ``rows[b]`` (several models
+    answered in one call).
+
     Every scoring engine routes its logit evaluations through this one
     function because the sharded backend's exact-parity contract needs
     a numeric guarantee a plain BLAS ``@`` cannot give: slicing either
@@ -133,10 +137,57 @@ def inner_products(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ``Q[a:b] @ W.T`` can differ from ``(Q @ W.T)[a:b]`` in the last
     ulp. ``np.einsum`` without ``optimize`` computes each output
     element as a fixed-order reduction over its own query/row fiber
-    pair, independent of the other rows present in the call — which
-    makes shard merges bit-identical by construction, on any CPU.
+    pair — the innermost loop always runs over the E axis — independent
+    of the other rows present in the call and of whether the matrix is
+    shared or per-query. That makes shard merges and stacked calls
+    bit-identical by construction, on any CPU.
     """
+    if rows.ndim == 3:
+        return np.einsum("be,bne->bn", queries, rows, optimize=False)
     return np.einsum("be,ne->bn", queries, rows, optimize=False)
+
+
+def ordered_scan(
+    queries: np.ndarray,
+    ordered_weight: np.ndarray,
+    order: np.ndarray,
+    theta: np.ndarray | None = None,
+) -> BatchSearchResult:
+    """The output scan of Fig. 2 over a whole batch.
+
+    ``ordered_weight`` holds the output rows in visit order, ``order``
+    maps visit positions to labels and ``theta`` are the inference
+    thresholds in visit order. Each is either shared by every query —
+    (N, E), (N,), (N,) — or per query — (B, N, E), (B, N), (B, N) — as
+    :func:`inner_products` allows.
+
+    With ``theta`` (Algorithm 1, Step 4) the first position whose logit
+    clears its threshold wins, with ``comparisons`` equal to its 1-based
+    position. Queries where none clears — every query when ``theta`` is
+    None, the exact scan of Fig. 2a — take the first maximum in visit
+    order after all N comparisons, like the sequential comparator's
+    strict ``>``.
+    """
+    logits = inner_products(queries, ordered_weight)  # (B, N) in visit order
+    rows = np.arange(len(queries))
+    n = logits.shape[1]
+    pos = np.argmax(logits, axis=1)
+    if theta is None:
+        comparisons = np.full(len(queries), n, dtype=np.int64)
+        early_exits = np.zeros(len(queries), dtype=bool)
+    else:
+        exceed = logits > theta
+        early_exits = exceed.any(axis=1)
+        first = np.argmax(exceed, axis=1)  # first clearing position
+        pos = np.where(early_exits, first, pos)
+        comparisons = np.where(early_exits, first + 1, n)
+    labels = order[pos] if order.ndim == 1 else order[rows, pos]
+    return BatchSearchResult(
+        labels=labels,
+        logits=logits[rows, pos],
+        comparisons=comparisons,
+        early_exits=early_exits,
+    )
 
 
 def scan_candidates(

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mips.backend import as_query_matrix, inner_products, register_backend
+from repro.mips.backend import (
+    as_query_matrix,
+    inner_products,
+    ordered_scan,
+    register_backend,
+)
 from repro.mips.stats import BatchSearchResult, SearchResult
 
 
@@ -79,14 +84,5 @@ class ExactMips:
         return SearchResult(best_index, best_logit, comparisons)
 
     def search_batch(self, queries: np.ndarray) -> BatchSearchResult:
-        """Whole-batch exact scan: one (B, V) matmul + row argmax."""
-        queries = as_query_matrix(queries)
-        logits = inner_products(queries, self._ordered_weight)  # (B, V) in scan order
-        pos = np.argmax(logits, axis=1)
-        rows = np.arange(len(queries))
-        return BatchSearchResult(
-            labels=self.order[pos],
-            logits=logits[rows, pos],
-            comparisons=np.full(len(queries), self.num_indices, dtype=np.int64),
-            early_exits=np.zeros(len(queries), dtype=bool),
-        )
+        """Whole-batch exact scan: one (B, V) logit matrix + row argmax."""
+        return ordered_scan(as_query_matrix(queries), self._ordered_weight, self.order)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mips.backend import as_query_matrix, inner_products, register_backend
+from repro.mips.backend import as_query_matrix, ordered_scan, register_backend
 from repro.mips.histograms import GaussianKde, LogitHistogram
 from repro.mips.ordering import index_order_by_silhouette, silhouette_coefficient
 from repro.mips.stats import BatchSearchResult, SearchResult
@@ -269,20 +269,12 @@ class InferenceThresholding:
         return self.search_batch(np.asarray(query, dtype=np.float64)).result(0)
 
     def search_batch(self, queries: np.ndarray) -> BatchSearchResult:
-        """Batched Step 4: all visit-order logits in one matmul."""
-        queries = as_query_matrix(queries)
-        logits = inner_products(queries, self._ordered_weight)  # (B, V) in visit order
+        """Batched Step 4: all visit-order logits in one kernel call."""
         # theta is looked up per call (not precomputed in visit order)
         # so callers may retune ``self.theta`` between searches.
-        exceed = logits > self.theta[self.order][None, :]
-        speculated = exceed.any(axis=1)
-        first = np.argmax(exceed, axis=1)  # first clearing index, visit order
-        fallback = np.argmax(logits, axis=1)  # full-scan argmax, first wins
-        pos = np.where(speculated, first, fallback)
-        rows = np.arange(len(queries))
-        return BatchSearchResult(
-            labels=self.order[pos],
-            logits=logits[rows, pos],
-            comparisons=np.where(speculated, first + 1, self.num_indices),
-            early_exits=speculated,
+        return ordered_scan(
+            as_query_matrix(queries),
+            self._ordered_weight,
+            self.order,
+            self.theta[self.order],
         )

@@ -84,7 +84,9 @@ class QueryResponse:
     ``early_exit`` surface the output-search statistics (the paper's
     Fig. 3 axes) regardless of device; ``logit`` is the winning score.
     ``latency_s`` is filled by :class:`~repro.serving.BatchScheduler`
-    with the submit-to-answer wall time.
+    with the submit-to-answer wall time: it stamps a predictor's fresh
+    response (``latency_s`` None) once, in place, before any caller
+    sees it, and copies a response that already carries a latency.
     """
 
     label: int

@@ -32,7 +32,7 @@ from repro.babi.vocab import Vocab
 from repro.eval.suite import BabiSuite, TaskSystem
 from repro.hw.accelerator import MannAccelerator
 from repro.hw.config import HwConfig
-from repro.mann.batch import BatchInferenceEngine, infer_story_lengths
+from repro.mann.batch import BatchInferenceEngine, EngineStack, infer_story_lengths
 from repro.serving.api import QueryRequest, QueryResponse
 from repro.serving.cache import MemoryCache
 from repro.serving.worker import WorkerSpec
@@ -41,43 +41,65 @@ DEVICES = ("sw", "hw")
 
 
 def _stack_requests(
-    requests: Sequence[QueryRequest], memory_size: int
+    requests: Sequence[QueryRequest], memory_size: int | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pad heterogeneous requests into (stories, questions, lengths).
 
     Stories are padded to the widest slot/word count of the batch
     (zeros are semantically inert everywhere in the model); lengths use
     the request's ``n_sentences`` when pinned, else the engines' usual
-    last-non-pad inference.
+    last-non-pad inference. ``memory_size`` is the model's memory, or
+    one per request when the rows run on different models; a request's
+    own story must fit it.
     """
     if not requests:
         raise ValueError("need at least one request")
-    slots = max(r.story.shape[0] for r in requests)
-    if slots > memory_size:
-        raise ValueError(
-            f"request story has {slots} slots, model supports {memory_size}"
-        )
-    words = max(
-        max(r.story.shape[1] for r in requests),
-        max(r.question.shape[0] for r in requests),
-    )
     batch = len(requests)
-    stories = np.zeros((batch, slots, words), dtype=np.int64)
-    questions = np.zeros((batch, words), dtype=np.int64)
-    pinned = np.zeros(batch, dtype=np.int64)  # 0 = infer
-    for i, request in enumerate(requests):
-        s, q = request.story, request.question
-        stories[i, : s.shape[0], : s.shape[1]] = s
-        questions[i, : q.shape[0]] = q
-        if request.n_sentences is not None:
-            # Validate against the request's OWN story, not the padded
-            # batch width — acceptance must not depend on co-batching.
-            if not 1 <= request.n_sentences <= s.shape[0]:
-                raise ValueError(
-                    f"n_sentences={request.n_sentences} outside "
-                    f"[1, {s.shape[0]}] for a {s.shape[0]}-slot story"
-                )
-            pinned[i] = request.n_sentences
+    story_shape = requests[0].story.shape
+    words = requests[0].question.shape[0]
+    if story_shape[1] == words and all(
+        r.story.shape == story_shape and r.question.shape[0] == words
+        for r in requests
+    ):
+        # Every request already has the batch's shape: one stacking
+        # call per array (np.array stacks same-shaped arrays like
+        # np.stack, without its per-array view overhead).
+        slots = np.full(batch, story_shape[0])
+        stories = np.array([r.story for r in requests])
+        questions = np.array([r.question for r in requests])
+    else:
+        slots = np.array([r.story.shape[0] for r in requests])
+        words = max(
+            max(r.story.shape[1] for r in requests),
+            max(r.question.shape[0] for r in requests),
+        )
+        stories = np.zeros((batch, slots.max(), words), dtype=np.int64)
+        questions = np.zeros((batch, words), dtype=np.int64)
+        for i, request in enumerate(requests):
+            s, q = request.story, request.question
+            stories[i, : s.shape[0], : s.shape[1]] = s
+            questions[i, : q.shape[0]] = q
+    too_long = slots > memory_size
+    if too_long.any():
+        i = int(np.argmax(too_long))
+        raise ValueError(
+            f"request story has {slots[i]} slots, model supports "
+            f"{np.broadcast_to(memory_size, (batch,))[i]}"
+        )
+    pinned = np.array(
+        [-1 if r.n_sentences is None else r.n_sentences for r in requests]
+    )  # -1 = infer
+    # Validate against each request's OWN story, not the padded batch
+    # width — acceptance must not depend on co-batching.
+    bad = (pinned != -1) & ((pinned < 1) | (pinned > slots))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"n_sentences={pinned[i]} outside [1, {slots[i]}] for a "
+            f"{slots[i]}-slot story"
+        )
+    if (pinned > 0).all():
+        return stories, questions, pinned
     # Padding slots are all-zero, so inferring on the padded batch
     # equals inferring on each request's own story.
     lengths = np.where(pinned > 0, pinned, infer_story_lengths(stories))
@@ -127,20 +149,24 @@ class SoftwarePredictor:
         arrays shipped back by ``predict_encoded`` — so the two modes
         produce identical responses by construction.
         """
+        word = self.vocab.word if self.vocab is not None else None
+        # tolist() converts each array to Python scalars in one call.
         return [
             QueryResponse(
-                label=int(labels[i]),
-                logit=float(logits[i]),
-                comparisons=int(comparisons[i]),
-                early_exit=bool(early_exits[i]),
-                answer=(
-                    self.vocab.word(int(labels[i]))
-                    if self.vocab is not None and int(labels[i]) >= 0
-                    else None
-                ),
+                label=label,
+                logit=logit,
+                comparisons=count,
+                early_exit=early,
+                answer=word(label) if word is not None and label >= 0 else None,
                 request_id=request.request_id,
             )
-            for i, request in enumerate(requests)
+            for request, label, logit, count, early in zip(
+                requests,
+                np.asarray(labels).tolist(),
+                np.asarray(logits).tolist(),
+                np.asarray(comparisons).tolist(),
+                np.asarray(early_exits).tolist(),
+            )
         ]
 
     def predict_batch(
@@ -197,6 +223,62 @@ class SoftwarePredictor:
         its own process; only the accounting crosses the pipe)."""
         if self.cache is not None and delta is not None:
             self.cache.absorb_delta(delta)
+
+
+class PredictorStack:
+    """Same-shaped software routes answered with one engine call.
+
+    Wraps an :class:`~repro.mann.batch.EngineStack` over the routes'
+    engines. :meth:`predict_groups` stacks the requests of several
+    routes, runs one forward pass and output search, and decodes each
+    route's rows with that route's own decoder: every response equals
+    the one the route's own ``predict_batch`` would give, bit for bit.
+    """
+
+    def __init__(self, predictors: Sequence[SoftwarePredictor]):
+        self.predictors = list(predictors)
+        self.engine = EngineStack([p.engine for p in self.predictors])
+        self._memory_sizes = np.array(
+            [p.engine.config.memory_size for p in self.predictors]
+        )
+
+    @staticmethod
+    def key(predictor) -> tuple | None:
+        """Predictors with equal keys can stack. None — the hw device,
+        wrapped or custom predictors, story-cached engines, sharded or
+        other backends — keeps the predictor's own ``predict_batch``."""
+        if type(predictor) is not SoftwarePredictor:
+            return None
+        return EngineStack.key(predictor.engine)
+
+    def predict_groups(
+        self, groups: Sequence[tuple[int, Sequence[QueryRequest]]]
+    ) -> list[list[QueryResponse]]:
+        """Answer ``(member, requests)`` groups, ``member`` indexing
+        :attr:`predictors`, in one engine call; one response list per
+        group."""
+        members = [member for member, _ in groups]
+        sizes = [len(requests) for _, requests in groups]
+        requests = [r for _, group in groups for r in group]
+        route = np.repeat(members, sizes)
+        stories, questions, lengths = _stack_requests(
+            requests, self._memory_sizes[route]
+        )
+        result = self.engine.search(stories, questions, lengths, route)
+        answered, start = [], 0
+        for member, group in groups:
+            rows = slice(start, start + len(group))
+            start = rows.stop
+            answered.append(
+                self.predictors[member]._responses(
+                    group,
+                    result.labels[rows],
+                    result.logits[rows],
+                    result.comparisons[rows],
+                    result.early_exits[rows],
+                )
+            )
+        return answered
 
 
 class HardwarePredictor:

@@ -11,11 +11,24 @@ and the worker pool amortise across tasks instead of per-task::
         future = router.submit(QueryRequest(story, question, task=6))
         print(future.result().answer)
 
-Flushes containing several tasks are partitioned task-first (the
-router implements the scheduler's ``partition_batch`` hook), so each
-worker executes one single-task vectorised ``predict_batch``. Per-route
-traffic is accounted in ``router.route_stats[task]``; scheduler-level
-flush statistics stay in ``router.stats``.
+**Stacked routes.** When the router opens, it groups the routes that
+share a :class:`~repro.serving.predictor.PredictorStack` key — software
+predictors with the same vocabulary size, embedding width, hop count,
+weight dtypes and exact or threshold backend, and no story cache — and
+a mixed-task flush answers all of a group's routes with one engine
+call (:class:`~repro.mann.batch.EngineStack`), bit for bit as each
+route's own ``predict_batch``. Every other route keeps one
+``predict_batch`` per flush: the hw device, wrapped (chaos) or custom
+predictors, story-cached routes, sharded or other backends, degraded
+fallbacks, and a route alone in its group or in the flush. Each
+threshold backend's ``theta`` is snapshotted when the router opens.
+
+With a worker pool, flushes containing several tasks are partitioned
+task-first (the router implements the scheduler's ``partition_batch``
+hook), so each worker executes one single-task vectorised
+``predict_batch``. Per-route traffic is accounted in
+``router.route_stats[task]`` — one flush per route present, stacked or
+not; scheduler-level flush statistics stay in ``router.stats``.
 
 **Per-route circuit breaking** (``breaker_threshold=N``): a route that
 fails ``N`` consecutive flushes is isolated — its
@@ -47,6 +60,7 @@ from repro.serving.api import (
 )
 from repro.serving.clock import MONOTONIC
 from repro.serving.errors import RouteUnavailableError, SchedulerClosedError
+from repro.serving.predictor import PredictorStack
 from repro.serving.resilience import CircuitBreaker
 from repro.serving.scheduler import BatchScheduler
 
@@ -67,6 +81,19 @@ class _RoutingPredictor:
         self._routes = routes
         self._route_stats = route_stats
         self._resolve = resolve
+        #: task -> (PredictorStack, member index) for every route that
+        #: shares its stack key with another route (see predict_batch).
+        self._stacks: dict = {}
+        by_key: dict = {}
+        for task, predictor in routes.items():
+            key = PredictorStack.key(predictor)
+            if key is not None:
+                by_key.setdefault(key, []).append(task)
+        for tasks in by_key.values():
+            if len(tasks) > 1:
+                stack = PredictorStack([routes[task] for task in tasks])
+                for member, task in enumerate(tasks):
+                    self._stacks[task] = (stack, member)
         self._stats_lock = threading.Lock()
         self._breakers: dict = {}
         self._fallbacks: dict = {}
@@ -137,24 +164,56 @@ class _RoutingPredictor:
     def predict_batch(
         self, requests: Sequence[QueryRequest]
     ) -> list[QueryResponse]:
+        """Answer a mixed-task batch.
+
+        Primary routes that share a :class:`PredictorStack` answer
+        together in one engine call; every other route — one alone in
+        its stack, a fallback, or a predictor that cannot stack — gets
+        its own ``predict_batch``. Either way the answers are each
+        route's own, bit for bit, and per-route accounting counts one
+        flush per route present.
+        """
         responses: list[QueryResponse | None] = [None] * len(requests)
+        own_calls = []
+        stacked: dict = {}
         for task, indices in self._grouped(requests).items():
             predictor, primary = self._pick(task)
-            answered = predictor.predict_batch(
-                [requests[i] for i in indices]
-            )
-            breaker = self._breakers.get(task)
-            if primary:
-                if breaker is not None:
-                    breaker.record_success()
+            if primary and task in self._stacks:
+                stack, member = self._stacks[task]
+                stacked.setdefault(stack, []).append((task, member, indices))
             else:
-                self._note_degraded(task, len(indices))
-            with self._stats_lock:
-                self._route_stats[task].record_flush(len(indices))
-                self._sync_route_cache(task)
-            for i, response in zip(indices, answered):
-                responses[i] = response
+                own_calls.append((task, indices, predictor, primary))
+        for stack, groups in stacked.items():
+            if len(groups) == 1:
+                task, _, indices = groups[0]
+                own_calls.append((task, indices, self._routes[task], True))
+                continue
+            answered = stack.predict_groups(
+                [
+                    (member, [requests[i] for i in indices])
+                    for _, member, indices in groups
+                ]
+            )
+            for (task, _, indices), group in zip(groups, answered):
+                self._answered(task, indices, group, responses, primary=True)
+        for task, indices, predictor, primary in own_calls:
+            answered = predictor.predict_batch([requests[i] for i in indices])
+            self._answered(task, indices, answered, responses, primary)
         return responses
+
+    def _answered(self, task, indices, answered, responses, primary) -> None:
+        """Account one route's answered rows and slot them into place."""
+        breaker = self._breakers.get(task)
+        if primary:
+            if breaker is not None:
+                breaker.record_success()
+        else:
+            self._note_degraded(task, len(indices))
+        with self._stats_lock:
+            self._route_stats[task].record_flush(len(indices))
+            self._sync_route_cache(task)
+        for i, response in zip(indices, answered):
+            responses[i] = response
 
     def _sync_route_cache(self, task) -> None:
         """Mirror one route's story-cache counters into its per-route

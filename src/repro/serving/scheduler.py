@@ -930,7 +930,14 @@ class BatchScheduler:
             self.stats.record_latencies(latencies)
             self.stats.record_deadline_outcomes(met, missed)
         for pending, response, latency in zip(chunk, responses, latencies):
-            pending.future.set_result(replace(response, latency_s=latency))
+            if response.latency_s is None:
+                # A fresh response from the predictor: stamp it in place
+                # rather than building it a second time. One the caller
+                # may already hold (stamped before) is copied instead.
+                object.__setattr__(response, "latency_s", latency)
+            else:
+                response = replace(response, latency_s=latency)
+            pending.future.set_result(response)
 
     def _run_chunk(self, chunk: list[_Pending]) -> None:
         """Answer one sub-batch, resolving its futures in order.

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mann import (
     BatchInferenceEngine,
@@ -20,6 +22,7 @@ from repro.mann import (
 )
 from repro.mann import batch as batch_module
 from repro.mann.batch import _bag_of_words
+from repro.mips import fit_threshold_model
 from repro.serving.cache import MemoryCache
 
 ATOL = 1e-10
@@ -223,6 +226,59 @@ def test_engine_batch_helpers_delegate_to_batch_engine():
     )
     answers = engine.predict(stories, questions, lengths)
     assert engine.accuracy(stories, questions, answers, lengths) == 1.0
+
+
+# -- batch independence: a row's bits never depend on its batch ---------
+def _bits(result, rows=slice(None)):
+    return result.labels[rows].tolist(), result.logits[rows].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    embed=st.integers(min_value=8, max_value=24),
+    memory=st.integers(min_value=3, max_value=14),
+    batch=st.integers(min_value=2, max_value=8),
+    extra_slots=st.integers(min_value=1, max_value=4),
+    extra_words=st.integers(min_value=1, max_value=3),
+)
+def test_search_bits_independent_of_the_batch(
+    seed, embed, memory, batch, extra_slots, extra_words
+):
+    """For both stackable backends, ``search`` gives a row the same label
+    and logit bits alone, at every position of a larger batch, and with
+    extra all-pad slots and words — the contract that lets a served
+    answer ignore what it was batched with."""
+    rng = np.random.default_rng(seed)
+    vocab = 17
+    weights = random_weights(
+        rng, vocab=vocab, embed=embed, memory=memory + extra_slots
+    )
+    stories, questions, lengths = random_batch(
+        rng, vocab=vocab, memory=memory, sentence_len=5, batch=batch
+    )
+    train_logits = rng.normal(size=(80, vocab))
+    model = fit_threshold_model(train_logits, train_logits.argmax(axis=1))
+    padded_stories = np.pad(stories, ((0, 0), (0, extra_slots), (0, extra_words)))
+    padded_questions = np.pad(questions, ((0, 0), (0, extra_words)))
+    for backend in ("exact", "threshold"):
+        engine = BatchInferenceEngine(weights, backend, threshold_model=model)
+        whole = engine.search(stories, questions, lengths)
+        alone = [
+            _bits(
+                engine.search(
+                    stories[i : i + 1], questions[i : i + 1], lengths[i : i + 1]
+                )
+            )
+            for i in range(batch)
+        ]
+        assert [_bits(whole, slice(i, i + 1)) for i in range(batch)] == alone, backend
+        padded = engine.search(padded_stories, padded_questions, lengths)
+        assert _bits(padded) == _bits(whole), backend
+        for shift in range(1, batch):
+            order = np.roll(np.arange(batch), shift)
+            moved = engine.search(stories[order], questions[order], lengths[order])
+            assert _bits(moved) == _bits(whole, order), backend
 
 
 # -- chunked bag-of-words gather: bit identity across chunk boundaries ---

@@ -54,15 +54,10 @@ class TestSoftwareParity:
         predictor = open_predictor(tiny_suite, 1)
         one = predictor.predict(_requests(batch, 1)[0])
         many = predictor.predict_batch(_requests(batch, 3))
-        # BLAS reduction order varies with batch shape: logits agree to
-        # float tolerance, every discrete field must agree exactly.
-        assert (one.label, one.comparisons, one.early_exit, one.answer) == (
-            many[0].label,
-            many[0].comparisons,
-            many[0].early_exit,
-            many[0].answer,
-        )
-        assert one.logit == pytest.approx(many[0].logit)
+        # The engine's kernels are batch-independent: a one-row call and
+        # a three-row call give the first request the same bits.
+        assert one == many[0]
+        assert one.logit.hex() == many[0].logit.hex()
 
     def test_answer_decoded_and_id_echoed(self, tiny_suite):
         predictor = open_predictor(tiny_suite, 1)
@@ -86,7 +81,8 @@ class TestSoftwareParity:
             full.comparisons,
             full.early_exit,
         )
-        assert trimmed.logit == pytest.approx(full.logit)
+        # Pad slots never change a row's bits (batch independence).
+        assert trimmed.logit.hex() == full.logit.hex()
 
     def test_inferred_lengths_match_explicit(self, tiny_suite):
         system = tiny_suite.tasks[1]

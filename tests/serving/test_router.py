@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.eval.suite import BabiSuite, SuiteConfig
 from repro.serving import ModelRouter, QueryRequest, open_predictor
+
+
+@pytest.fixture(scope="module")
+def mixed_suite() -> BabiSuite:
+    """Three tasks with different memory sizes and sentence widths, so
+    a stacked flush pads every route's rows."""
+    return BabiSuite.build(
+        SuiteConfig(task_ids=(1, 3, 17), n_train=20, n_test=12, epochs=2, seed=5)
+    )
 
 
 def _request(suite, task, i, route=None):
@@ -63,12 +75,9 @@ class TestRouting:
             futures = [router.submit(r) for r in requests]
             answered = [f.result(timeout=10.0) for f in futures]
         assert [r.label for r in answered] == [r.label for r in expected]
-        # BLAS reduction order varies with the co-batch shape of the
-        # *forward pass*: logits agree to float tolerance, every
-        # discrete field must agree exactly.
-        assert np.allclose(
-            [r.logit for r in answered], [r.logit for r in expected]
-        )
+        # The engine's kernels are batch-independent, so co-batching
+        # leaves every logit bit unchanged.
+        assert [r.logit for r in answered] == [r.logit for r in expected]
         assert [r.comparisons for r in answered] == [
             r.comparisons for r in expected
         ]
@@ -150,3 +159,102 @@ class TestPartitioning:
         assert [r.label for r in a] == [r.label for r in b]
         assert [r.logit for r in a] == [r.logit for r in b]
         assert [r.comparisons for r in a] == [r.comparisons for r in b]
+
+
+class TestStackedFlush:
+    """Routes that share vocabulary, embedding width, hops and backend
+    answer a mixed-task flush with one engine call."""
+
+    @staticmethod
+    def _same(a, b) -> bool:
+        return a == b and a.logit.hex() == b.logit.hex()
+
+    @pytest.mark.parametrize("backend", ["exact", "threshold"])
+    def test_stacked_flush_equals_each_routes_own_call(self, mixed_suite, backend):
+        """Random task mixes, single-row tasks included: every answer of
+        a stacked flush equals its route's own ``predict_batch`` bit for
+        bit — on the same rows and on the row alone — and per-route
+        stats count what the per-route loop counts."""
+        tasks = mixed_suite.task_ids
+        rng = np.random.default_rng(11)
+        requests_per_task = dict.fromkeys(tasks, 0)
+        flushes_per_task = dict.fromkeys(tasks, 0)
+        with ModelRouter.open(
+            mixed_suite, mips_backend=backend, max_batch=64, start_worker=False
+        ) as router:
+            routes = {task: router.predictor(task) for task in tasks}
+            own_calls = []
+            for task, route in routes.items():
+                inner = route.predict_batch
+                route.predict_batch = (
+                    lambda requests, inner=inner, task=task: (
+                        own_calls.append(task) or inner(requests)
+                    )
+                )
+            for trial in range(12):
+                sizes = rng.integers(0, 4, len(tasks))
+                sizes[rng.choice(len(tasks), 2, replace=False)] = [1, 1 + trial % 3]
+                requests = [
+                    _request(mixed_suite, task, int(rng.integers(0, 12)))
+                    for task, n in zip(tasks, sizes)
+                    for _ in range(n)
+                ]
+                requests = [requests[i] for i in rng.permutation(len(requests))]
+                futures = [router.submit(r) for r in requests]
+                router.flush()
+                answered = [f.result(timeout=10.0) for f in futures]
+                assert own_calls == []  # one stacked call, no per-route call
+                assert all(r.latency_s is not None for r in answered)
+                answered = [replace(r, latency_s=None) for r in answered]
+                for task in tasks:
+                    rows = [i for i, r in enumerate(requests) if r.task == task]
+                    if not rows:
+                        continue
+                    requests_per_task[task] += len(rows)
+                    flushes_per_task[task] += 1
+                    own = routes[task].predict_batch([requests[i] for i in rows])
+                    for i, expected in zip(rows, own):
+                        assert self._same(answered[i], expected)
+                        (alone,) = routes[task].predict_batch([requests[i]])
+                        assert self._same(answered[i], alone)
+                own_calls.clear()
+            for task in tasks:
+                assert router.route_stats[task].requests == requests_per_task[task]
+                assert router.route_stats[task].flushes == flushes_per_task[task]
+
+    def test_out_of_vocabulary_word_fails_the_stacked_flush(self, mixed_suite):
+        """A word index past the vocabulary raises, as in a route's own
+        call, instead of reading another route's embedding rows."""
+        good = _request(mixed_suite, 1, 0)
+        batch = mixed_suite.tasks[3].test_batch
+        story = batch.stories[0].copy()
+        story[0, 0] = mixed_suite.tasks[3].weights.config.vocab_size
+        bad = QueryRequest(story, batch.questions[0], task=3)
+        with ModelRouter.open(mixed_suite, start_worker=False) as router:
+            with pytest.raises(IndexError):
+                router.predict_batch([good, bad])
+            with pytest.raises(IndexError):
+                router.predictor(3).predict_batch([bad])
+
+    def test_unstackable_routes_keep_their_own_call(self, mixed_suite):
+        """Story-cached routes are not stacked: a mixed flush calls each
+        route's own ``predict_batch`` once, with the same answers."""
+        requests = [
+            _request(mixed_suite, task, i) for i, task in enumerate([1, 3, 17, 1])
+        ]
+        with ModelRouter.open(
+            mixed_suite, cache_entries=8, start_worker=False
+        ) as router:
+            expected = [router.predictor(r.task).predict(r) for r in requests]
+            calls = []
+            for task in router.tasks:
+                route = router.predictor(task)
+                inner = route.predict_batch
+                route.predict_batch = (
+                    lambda requests, inner=inner, task=task: (
+                        calls.append(task) or inner(requests)
+                    )
+                )
+            answered = router.predict_batch(requests)
+        assert sorted(calls) == [1, 3, 17]
+        assert all(self._same(a, b) for a, b in zip(answered, expected))
