@@ -1,4 +1,5 @@
-"""Benchmark fixtures: the full 20-task suite, built once per session.
+"""Benchmark fixtures: the full 20-task suite, built once per session,
+and the workload helpers several serving benches share.
 
 Benchmarks print the reproduced tables/series to stdout (run with
 ``-s`` to see them live) and persist them under benchmarks/output/.
@@ -13,9 +14,13 @@ import json
 import pathlib
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.eval.suite import BabiSuite, SuiteConfig
+from repro.mann.config import MannConfig
+from repro.mann.weights import MannWeights
+from repro.serving import QueryRequest
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -86,16 +91,50 @@ def full_suite() -> BabiSuite:
 
 
 @pytest.fixture(scope="session")
-def full_suite_artifacts(full_suite, tmp_path_factory):
-    """The full suite saved to disk — what process-mode serving needs
-    (worker processes rebuild their routes from the artifact dir)."""
-    from repro.artifacts import save_suite
-
-    directory = tmp_path_factory.mktemp("bench_artifacts")
-    save_suite(full_suite, directory)
-    return directory
-
-
-@pytest.fixture(scope="session")
 def task1_system(full_suite):
     return full_suite.tasks[1]
+
+
+def mixed_task_requests(suite: BabiSuite, n: int, tasks) -> list[QueryRequest]:
+    """``n`` requests round-robin over the ``tasks`` present in
+    ``suite``, each task cycling through its test examples."""
+    tasks = [t for t in tasks if t in suite.tasks]
+    stream = []
+    for i in range(n):
+        task = tasks[i % len(tasks)]
+        batch = suite.tasks[task].test_batch
+        j = (i // len(tasks)) % len(batch)
+        stream.append(
+            QueryRequest(
+                batch.stories[j],
+                batch.questions[j],
+                n_sentences=int(batch.story_lengths[j]),
+                request_id=i,
+                task=task,
+            )
+        )
+    return stream
+
+
+def production_weights(vocab: int, embed: int, memory: int) -> MannWeights:
+    """A production-shaped synthetic 3-hop MANN from seeded random
+    weights: the serving benches that use it measure arithmetic shape,
+    not trained accuracy."""
+    rng = np.random.default_rng(11)
+    config = MannConfig(
+        vocab_size=vocab, embed_dim=embed, memory_size=memory, hops=3
+    )
+
+    def w(*shape):
+        return rng.normal(0.0, 0.1, shape)
+
+    return MannWeights(
+        config,
+        w(vocab, embed),
+        w(vocab, embed),
+        w(vocab, embed),
+        w(embed, embed),
+        w(vocab, embed),
+        w(memory, embed),
+        w(memory, embed),
+    )

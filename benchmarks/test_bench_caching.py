@@ -34,11 +34,9 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import persist, persist_bench_summary
+from benchmarks.conftest import persist, persist_bench_summary, production_weights
 
 from repro.mann.batch import BatchInferenceEngine
-from repro.mann.config import MannConfig
-from repro.mann.weights import MannWeights
 from repro.serving import BatchScheduler, MemoryCache, QueryRequest
 from repro.serving.predictor import SoftwarePredictor
 from repro.utils.tables import TextTable
@@ -57,27 +55,6 @@ REPEATS = 3
 #: run by this much (measured 1.42-1.51x; enforced under --bench-floors).
 MIN_CACHED_SPEEDUP_HIGH_SKEW = 1.2
 HIGH_SKEW = 1.2
-
-
-def _production_weights() -> MannWeights:
-    rng = np.random.default_rng(11)
-    config = MannConfig(
-        vocab_size=VOCAB, embed_dim=EMBED, memory_size=MEMORY, hops=3
-    )
-
-    def w(*shape):
-        return rng.normal(0.0, 0.1, shape)
-
-    return MannWeights(
-        config,
-        w(VOCAB, EMBED),
-        w(VOCAB, EMBED),
-        w(VOCAB, EMBED),
-        w(EMBED, EMBED),
-        w(VOCAB, EMBED),
-        w(MEMORY, EMBED),
-        w(MEMORY, EMBED),
-    )
 
 
 def _story_pool(rng) -> list[tuple[np.ndarray, int]]:
@@ -153,7 +130,7 @@ def _bench_config(engine, requests):
 
 
 def test_bench_zipf_cache_ladder(bench_floor):
-    weights = _production_weights()
+    weights = production_weights(VOCAB, EMBED, MEMORY)
     pool = _story_pool(np.random.default_rng(5))
 
     table = TextTable(

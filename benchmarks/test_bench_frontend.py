@@ -43,11 +43,9 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import persist, persist_bench_summary
+from benchmarks.conftest import persist, persist_bench_summary, production_weights
 
 from repro.mann.batch import BatchInferenceEngine
-from repro.mann.config import MannConfig
-from repro.mann.weights import MannWeights
 from repro.serving import (
     AsyncFrontend,
     BatchScheduler,
@@ -76,27 +74,6 @@ DEADLINE_FLOOR_S = 0.05
 #: backlog outgrows the deadline with ~2x margin over the shed path's
 #: goodput (see the derivation in _ladder_plan).
 OVERLOAD_DEMAND = 15.0
-
-
-def _production_weights() -> MannWeights:
-    rng = np.random.default_rng(11)
-    config = MannConfig(
-        vocab_size=VOCAB, embed_dim=EMBED, memory_size=MEMORY, hops=3
-    )
-
-    def w(*shape):
-        return rng.normal(0.0, 0.1, shape)
-
-    return MannWeights(
-        config,
-        w(VOCAB, EMBED),
-        w(VOCAB, EMBED),
-        w(VOCAB, EMBED),
-        w(EMBED, EMBED),
-        w(VOCAB, EMBED),
-        w(MEMORY, EMBED),
-        w(MEMORY, EMBED),
-    )
 
 
 def _requests(n: int, deadline_s: float | None, seed: int) -> list[QueryRequest]:
@@ -190,7 +167,7 @@ def _ladder_plan(capacity_qps: float) -> tuple[float, int]:
 
 def test_bench_open_loop_goodput_ladder(bench_floor):
     predictor = SoftwarePredictor(
-        BatchInferenceEngine(_production_weights(), "exact")
+        BatchInferenceEngine(production_weights(VOCAB, EMBED, MEMORY), "exact")
     )
     capacity_qps = _calibrate_capacity(predictor)
     deadline_s, n_overload = _ladder_plan(capacity_qps)

@@ -1,94 +1,74 @@
-"""Chaos soak: the fault-tolerant runtime under real worker deaths.
+"""Chaos soak: the inline router under injected predict failures.
 
 The acceptance gate for the resilience layer: route a mixed-task
-request stream through the process-mode serving stack while the chaos
-harness kills real worker processes (``os._exit`` inside the worker —
-the pool genuinely breaks), at a ladder of kill rates, twice per rate:
+request stream through the router while the chaos harness fails a
+seeded fraction of route calls with a transient ``raise-in-predict``
+fault (a raising route fails its whole flush), at a ladder of rates:
 
-* **supervised** (the default): the scheduler rebuilds the pool from
-  its retained WorkerSpecs and replays the lost sub-batches — the soak
-  must finish with **zero** failed requests and bit-identical answers.
-* **unsupervised** (``supervise_pool=False``, no retry): the first
-  kill takes the flush (and the pool) down with it — requests are
-  lost, which is the row that shows what supervision buys.
+* **with retry** (a :class:`RetryPolicy`): the scheduler replays each
+  failed flush — the soak must finish with **zero** failed requests
+  and answers bit-identical to the fault-free run.
+* **without retry**: a failed flush loses its requests, which is the
+  row that shows what the retry policy buys.
+
+The scheduler runs without its deadline thread, so every flush is a
+full ``MAX_BATCH`` taken by the submitting caller: flush composition,
+and with it every fault decision, is the same on every run.
 
 Persists ``benchmarks/output/resilience.txt`` (the human-readable
 ladder) and a machine-readable summary under the
 ``serving_resilience`` key of ``benchmarks/output/BENCH_serving.json``
-so CI can watch the zero-failure contract hold across PRs.
+so CI can watch the zero-failure contract hold across changes.
 """
 
 from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import persist, persist_bench_summary
+from benchmarks.conftest import mixed_task_requests, persist, persist_bench_summary
 
-from repro.serving import (
-    FaultPlan,
-    ModelRouter,
-    QueryRequest,
-    RetryPolicy,
-    ServingError,
-)
+from repro.serving import FaultPlan, ModelRouter, RetryPolicy, ServingError
 from repro.utils.tables import TextTable
 
 N_REQUESTS = 128
 MAX_BATCH = 16
-N_WORKERS = 2
 TASKS = (1, 2, 6, 15)
-#: (kill rate, supervised) soak ladder. Every nonzero-rate plan also
-#: schedules a guaranteed kill at the third sub-batch, so the
-#: unsupervised row demonstrably loses requests even if the rate draw
-#: happens to spare the early indices.
+#: (raise rate, retry) soak ladder. Every nonzero-rate plan also
+#: schedules a guaranteed fault at each route's third call, so the row
+#: without retry demonstrably loses requests even if the rate draw
+#: happens to spare the early calls. The rate-0 row is the fault-free
+#: reference.
 LADDER = ((0.0, True), (0.04, True), (0.08, True), (0.04, False))
+#: Retry budget per flush. A flush stops at its first raising route and
+#: every route reaches its scheduled third-call fault in the same
+#: flush, so that flush alone fails once per route in a row; the budget
+#: covers those plus the rate's own draws.
+MAX_ATTEMPTS = len(TASKS) + 4
 
 
-def _requests(suite, n: int) -> list[QueryRequest]:
-    tasks = [t for t in TASKS if t in suite.tasks]
-    stream = []
-    for i in range(n):
-        task = tasks[i % len(tasks)]
-        batch = suite.tasks[task].test_batch
-        j = (i // len(tasks)) % len(batch)
-        stream.append(
-            QueryRequest(
-                batch.stories[j],
-                batch.questions[j],
-                n_sentences=int(batch.story_lengths[j]),
-                request_id=i,
-                task=task,
-            )
-        )
-    return stream
-
-
-def _soak(artifacts, suite, requests, kill_rate: float, supervised: bool):
-    """One soak run; returns (labels, seconds, failed, stats)."""
+def _soak(suite, requests, raise_rate: float, retry: bool):
+    """One soak run; returns (answers, seconds, failed, stats)."""
     plan = None
-    if kill_rate > 0:
+    if raise_rate > 0:
         plan = FaultPlan(
-            kill_worker_rate=kill_rate,
+            raise_rate=raise_rate,
             seed=13,
-            schedule=((2, "kill-worker"),),
+            schedule=((2, "raise-in-predict"),),
         )
     router = ModelRouter.open(
-        artifacts,
+        suite,
         tasks=[t for t in TASKS if t in suite.tasks],
         mips_backend="exact",
-        n_workers=N_WORKERS,
-        worker_mode="process",
         max_batch=MAX_BATCH,
-        max_wait_s=0.005,
+        start_worker=False,
         chaos_plan=plan,
-        supervise_pool=supervised,
         retry_policy=(
-            RetryPolicy(max_attempts=4, backoff_base_s=0.0)
-            if supervised
+            RetryPolicy(max_attempts=MAX_ATTEMPTS, backoff_base_s=0.0)
+            if retry
             else None
         ),
     )
-    labels: dict[int, int] = {}
+    answers: dict[int, tuple[int, float]] = {}
     failed = 0
     start = time.perf_counter()
     with router:
@@ -100,90 +80,80 @@ def _soak(artifacts, suite, requests, kill_rate: float, supervised: bool):
                 failed += 1
         for request_id, future in futures:
             try:
-                labels[request_id] = future.result(timeout=120.0).label
+                response = future.result(timeout=120.0)
             except ServingError:
                 failed += 1
+            else:
+                answers[request_id] = (response.label, response.logit)
     seconds = time.perf_counter() - start
-    return labels, seconds, failed, router.stats
+    return answers, seconds, failed, router.stats
 
 
-def test_bench_chaos_soak(full_suite, full_suite_artifacts):
-    requests = _requests(full_suite, N_REQUESTS)
-
-    # Fault-free reference answers (thread mode, no pool to kill).
-    reference_router = ModelRouter.open(
-        full_suite,
-        tasks=[t for t in TASKS if t in full_suite.tasks],
-        mips_backend="exact",
-        start_worker=False,
-    )
-    with reference_router:
-        reference = {
-            r.request_id: reference_router.predict(r).label for r in requests
-        }
+def test_bench_chaos_soak(full_suite):
+    requests = mixed_task_requests(full_suite, N_REQUESTS, TASKS)
 
     table = TextTable(
         [
-            "kill rate",
-            "supervised",
+            "raise rate",
+            "retry",
             "served",
             "failed",
             "retried",
             "recovered",
-            "pool rebuilds",
             "requests/s",
         ],
         title=(
             f"Chaos soak — {N_REQUESTS} requests, {len(TASKS)} routes, "
-            f"{N_WORKERS} process workers, max_batch={MAX_BATCH}"
+            f"inline flushes, max_batch={MAX_BATCH}"
         ),
     )
     rows = []
-    for kill_rate, supervised in LADDER:
-        labels, seconds, failed, stats = _soak(
-            full_suite_artifacts, full_suite, requests, kill_rate, supervised
+    reference = None
+    for raise_rate, retry in LADDER:
+        answers, seconds, failed, stats = _soak(
+            full_suite, requests, raise_rate, retry
         )
-        if supervised:
+        if reference is None:
+            reference = answers  # the fault-free run
+        if retry:
             # The zero-failure contract: every request served, every
-            # answer bit-identical to the fault-free reference.
+            # answer bit-identical to the fault-free run.
             assert failed == 0, (
-                f"supervised soak at kill rate {kill_rate} lost "
+                f"soak with retry at raise rate {raise_rate} lost "
                 f"{failed} requests"
             )
-            assert labels == reference, "recovery changed an answer"
-            if kill_rate > 0:
-                assert stats.pool_rebuilds >= 1, "no worker was ever killed"
+            assert answers == reference, "recovery changed an answer"
+            if raise_rate > 0:
+                assert stats.retries >= 1, "no fault was ever injected"
                 assert stats.recovered >= 1
         else:
             assert failed > 0, (
-                "unsupervised soak survived worker kills — supervision "
-                "is not being exercised"
+                "soak without retry survived every fault — the faults "
+                "are not being injected"
             )
-            assert all(labels[k] == reference[k] for k in labels)
+            assert all(answers[k] == reference[k] for k in answers)
         rows.append(
             {
-                "kill_rate": kill_rate,
-                "supervised": supervised,
-                "served": len(labels),
+                "raise_rate": raise_rate,
+                "retry": retry,
+                "served": len(answers),
                 "failed": failed,
                 "retries": stats.retries,
                 "recovered": stats.recovered,
-                "pool_rebuilds": stats.pool_rebuilds,
-                "requests_per_s": round(len(labels) / seconds, 1)
+                "requests_per_s": round(len(answers) / seconds, 1)
                 if seconds > 0
                 else 0.0,
             }
         )
         table.add_row(
             [
-                f"{kill_rate:.2f}",
-                "yes" if supervised else "no",
-                str(len(labels)),
+                f"{raise_rate:.2f}",
+                "yes" if retry else "no",
+                str(len(answers)),
                 str(failed),
                 str(stats.retries),
                 str(stats.recovered),
-                str(stats.pool_rebuilds),
-                f"{len(labels) / seconds:,.0f}",
+                f"{len(answers) / seconds:,.0f}",
             ]
         )
 
@@ -193,7 +163,6 @@ def test_bench_chaos_soak(full_suite, full_suite_artifacts):
         {
             "benchmark": "chaos_soak",
             "n_requests": N_REQUESTS,
-            "n_workers": N_WORKERS,
             "max_batch": MAX_BATCH,
             "tasks": list(TASKS),
             "rows": rows,

@@ -8,9 +8,6 @@ The deployment-shaped entry points of the repro:
   ``.npz`` + JSON directory, bit-exactly.
 * :func:`verify_artifacts` — reload a directory and prove predictions
   and logits match the arrays recorded at save time.
-* :func:`mmap_npz` / ``load_suite(..., mmap=True)`` — map the bulk
-  arrays read-only straight out of ``arrays.npz`` so serving worker
-  processes share one set of weight pages instead of private copies.
 
 Built artifacts feed :func:`repro.serving.open_predictor`,
 :class:`repro.serving.ModelRouter` and every CLI experiment subcommand
@@ -30,7 +27,6 @@ from repro.artifacts.codec import (
     encode_quantized_weights,
     encode_threshold_model,
 )
-from repro.artifacts.memmap import mmap_npz
 from repro.artifacts.store import (
     load_suite,
     save_suite,
@@ -38,7 +34,6 @@ from repro.artifacts.store import (
 )
 
 __all__ = [
-    "mmap_npz",
     "FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
     "check_format_version",

@@ -16,22 +16,16 @@ from the saved artifacts:
     python -m repro train --save artifacts/         # train + persist
     python -m repro train --save artifacts/ --quantize 3 8   # + fixed point
     python -m repro query --artifacts artifacts/ --task 1 [--quantized]
-    python -m repro serve-bench --artifacts artifacts/ --tasks 1 6 \
-        --workers 4 --shards 4
+    python -m repro serve-bench --artifacts artifacts/ --tasks 1 6
 
 Every suite-based experiment accepts ``--artifacts DIR`` to reuse a
 directory written by ``train --save`` instead of retraining.
 
-``serve-bench`` drives the sharded multi-task serving runtime: one
-``ModelRouter`` holding a predictor per task behind a single scheduler,
-whose flushes a pool of ``--workers`` workers executes as concurrent
-sub-batches, each predictor scanning through a ``sharded:<backend>``
-MIPS engine partitioned ``--shards`` ways along ``--shard-axis``. With
-``--worker-mode process`` the flush pool is a ``ProcessPoolExecutor``
-whose workers rebuild each route from ``--artifacts`` with mmap-shared
-weights — the mode that actually scales CPU-bound scans across cores.
-It reports one-at-a-time vs single-worker vs worker-pool throughput
-and per-route traffic.
+``serve-bench`` drives the multi-task serving runtime: one
+``ModelRouter`` holding a predictor per task behind a single scheduler
+whose flushes run inline, same-shaped routes answered with one engine
+call. It reports one-at-a-time vs scheduler throughput (plus an
+``AsyncFrontend`` pass with ``--async``) and per-route traffic.
 """
 
 from __future__ import annotations
@@ -65,13 +59,9 @@ _EPILOG = (
     "Suite-based commands accept --artifacts DIR (from `train --save DIR`) "
     "to skip retraining. "
     "Serving: `train --quantize M N` persists fixed-point weights that "
-    "`query --quantized` serves; `serve-bench --workers W --shards S "
-    "--tasks ...` routes a mixed-task request stream through one "
-    "scheduler with a W-worker flush pool over S-way sharded MIPS "
-    "backends (--shard-axis batch|vocab). --worker-mode process swaps "
-    "the GIL-bound thread pool for worker processes rebuilt from "
-    "--artifacts with mmap-shared weights (zero-copy; encoded arrays "
-    "on the pipe). `--cache-entries N --zipf S` adds a per-route "
+    "`query --quantized` serves; `serve-bench --tasks ...` routes a "
+    "mixed-task request stream through one router and scheduler. "
+    "`--cache-entries N --zipf S` adds a per-route "
     "story-encoding cache and a zipf-skewed replay mix to measure "
     "hit-rate vs throughput."
 )
@@ -438,18 +428,13 @@ def _timed_async_run(args: argparse.Namespace, suite, requests):
         RetryPolicy,
     )
 
-    source = suite if args.worker_mode == "thread" else args.artifacts
     router = ModelRouter.open(
-        source,
+        suite,
         tasks=list(suite.tasks),
         mips_backend=args.mips_backend,
         max_batch=args.max_batch,
         max_wait_s=args.max_wait_ms / 1e3,
         cache_entries=args.cache_entries or None,
-        n_workers=args.workers,
-        shards=args.shards if args.shards > 1 else None,
-        shard_axis=args.shard_axis,
-        worker_mode=args.worker_mode,
         queue_cap=args.queue_cap,
         overload_policy=args.overload_policy,
         inline_flush=False,
@@ -501,31 +486,14 @@ def _timed_async_run(args: argparse.Namespace, suite, requests):
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> None:
-    """Sharded multi-task serving throughput: router + worker pool.
+    """Multi-task serving throughput: router + scheduler.
 
-    Three submission modes over the same mixed-task request stream:
-    one-at-a-time ``predict`` calls, the single-worker scheduler (the
-    PR 3 serving path), and the worker pool with shard-parallel MIPS
-    backends (``--workers``/``--shards``).
+    Submission modes over the same mixed-task request stream:
+    one-at-a-time ``predict`` calls, the batching scheduler, and with
+    ``--async`` the asyncio frontend.
     """
-    from repro.serving import ModelRouter
+    from repro.serving import ModelRouter, ServingError
 
-    if (
-        args.shard_axis == "vocab"
-        and args.shards > 1
-        and args.mips_backend not in ("exact", "threshold")
-    ):
-        raise SystemExit(
-            f"--shard-axis vocab requires an exhaustive scan (exact) or "
-            f"the vocab-shardable threshold scan; got --mips-backend "
-            f"{args.mips_backend}"
-        )
-    if args.worker_mode == "process" and args.artifacts is None:
-        raise SystemExit(
-            "--worker-mode process requires --artifacts DIR: worker "
-            "processes rebuild each route from the saved artifact "
-            "directory (train one with `train --save DIR`)"
-        )
     suite = _obtain_suite(args)
     if args.zipf is not None:
         requests = _zipf_requests(suite, args.requests, args.zipf)
@@ -545,7 +513,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
     one_at_a_time = time.perf_counter() - start
     direct.close()
 
-    # Resilience knobs apply to the scheduler rows only — the direct
+    # Resilience knobs apply to the scheduler row only — the direct
     # baseline above stays fault-free by construction.
     resilience_kwargs = {}
     if args.retry_max:
@@ -556,51 +524,31 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
         )
     if args.breaker_threshold is not None:
         resilience_kwargs["breaker_threshold"] = args.breaker_threshold
-    if args.chaos_kill_rate:
+    if args.chaos_rate:
         from repro.serving import FaultPlan
 
-        resilience_kwargs["chaos_plan"] = FaultPlan(
-            kill_worker_rate=args.chaos_kill_rate
-        )
+        resilience_kwargs["chaos_plan"] = FaultPlan(raise_rate=args.chaos_rate)
 
-    def timed_run(n_workers: int, shards: int, worker_mode: str = "thread"):
-        # Process workers rebuild their routes from the artifact
-        # directory, so the path (not the loaded suite) is the source.
-        from repro.serving import ServingError
-
-        source = suite if worker_mode == "thread" else args.artifacts
-        router = ModelRouter.open(
-            source,
-            tasks=list(suite.tasks),
-            n_workers=n_workers,
-            shards=shards if shards > 1 else None,
-            shard_axis=args.shard_axis,
-            worker_mode=worker_mode,
-            **open_kwargs,
-            **resilience_kwargs,
-        )
-        failed = 0
-        start = time.perf_counter()
-        with router:
-            futures = []
-            for request in requests:
-                try:
-                    futures.append(router.submit(request))
-                except ServingError:  # e.g. an open route breaker
-                    failed += 1
-            for future in futures:
-                try:
-                    future.result()
-                except ServingError:
-                    # Chaos can out-pressure the retry budget; a typed
-                    # failure is an accounted outcome, not a bench bug.
-                    failed += 1
-        return time.perf_counter() - start, router, failed
-
-    single_seconds, single, single_failed = timed_run(1, 1)
-    pooled_seconds, pooled, pooled_failed = timed_run(
-        args.workers, args.shards, args.worker_mode
+    router = ModelRouter.open(
+        suite, tasks=list(suite.tasks), **open_kwargs, **resilience_kwargs
     )
+    failed = 0
+    start = time.perf_counter()
+    with router:
+        futures = []
+        for request in requests:
+            try:
+                futures.append(router.submit(request))
+            except ServingError:  # e.g. an open route breaker
+                failed += 1
+        for future in futures:
+            try:
+                future.result()
+            except ServingError:
+                # Chaos can out-pressure the retry budget; a typed
+                # failure is an accounted outcome, not a bench bug.
+                failed += 1
+    seconds = time.perf_counter() - start
 
     mix = f"zipf(s={args.zipf})" if args.zipf is not None else "round-robin"
     table = TextTable(
@@ -625,11 +573,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                 if args.cache_entries
                 else ""
             )
-            + (
-                f", chaos kill rate {args.chaos_kill_rate}"
-                if args.chaos_kill_rate
-                else ""
-            )
+            + (f", chaos rate {args.chaos_rate}" if args.chaos_rate else "")
         ),
     )
     table.add_row(
@@ -670,23 +614,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             ]
         )
 
-    _scheduler_row(
-        f"scheduler (1 worker, max_batch={args.max_batch})",
-        single_seconds,
-        single,
-    )
-    _scheduler_row(
-        f"worker pool ({args.workers} {args.worker_mode} workers, "
-        f"{args.shards} shards)",
-        pooled_seconds,
-        pooled,
-    )
+    _scheduler_row(f"scheduler (max_batch={args.max_batch})", seconds, router)
     if args.async_frontend:
         async_seconds, async_router, n_served = _timed_async_run(args, suite, requests)
         policy = args.overload_policy
         _scheduler_row(
-            f"async frontend ({args.workers} {args.worker_mode} workers, "
-            f"cap={args.queue_cap or '∞'}, {policy})",
+            f"async frontend (cap={args.queue_cap or '∞'}, {policy})",
             async_seconds,
             async_router,
             served=max(1, n_served),
@@ -704,36 +637,24 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                 else ""
             )
         )
-    if args.chaos_kill_rate or args.retry_max or args.breaker_threshold:
-        for label, router, failed in (
-            ("1 worker", single, single_failed),
-            ("pool", pooled, pooled_failed),
-        ):
-            stats = router.stats
-            print(
-                f"resilience [{label}]: {failed} failed, "
-                f"{stats.retries} retried, {stats.recovered} recovered, "
-                f"{stats.pool_rebuilds} pool rebuilds, "
-                f"{stats.breaker_opens} breaker opens"
-            )
-    print(f"micro-batching speedup: {one_at_a_time / single_seconds:.1f}x")
-    print(
-        f"worker-pool speedup vs single worker: "
-        f"{single_seconds / pooled_seconds:.2f}x "
-        f"(mean sub-batches/flush {pooled.stats.mean_shards_per_flush:.1f})"
-    )
+    stats = router.stats
+    if args.chaos_rate or args.retry_max or args.breaker_threshold:
+        print(
+            f"resilience: {failed} failed, "
+            f"{stats.retries} retried, {stats.recovered} recovered, "
+            f"{stats.breaker_opens} breaker opens"
+        )
+    print(f"micro-batching speedup: {one_at_a_time / seconds:.1f}x")
     if args.cache_entries:
-        for label, router in (("1 worker", single), ("pool", pooled)):
-            stats = router.stats
-            print(
-                f"story cache [{label}]: hit rate "
-                f"{stats.cache_hit_rate:.1%} ({stats.cache_hits} hits / "
-                f"{stats.cache_misses} misses, "
-                f"{stats.cache_evictions} evictions)"
-            )
+        print(
+            f"story cache: hit rate "
+            f"{stats.cache_hit_rate:.1%} ({stats.cache_hits} hits / "
+            f"{stats.cache_misses} misses, "
+            f"{stats.cache_evictions} evictions)"
+        )
     per_route = ", ".join(
         f"task {task}: {stats.requests}"
-        for task, stats in sorted(pooled.route_stats.items())
+        for task, stats in sorted(router.route_stats.items())
     )
     print(f"per-route requests: {per_route}")
 
@@ -923,14 +844,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="serve through the batching scheduler with a RetryPolicy "
-        "of N total attempts per sub-batch: transient flush failures "
+        "of N total attempts per flush: transient flush failures "
         "are replayed bit-identically (0 disables)",
     )
     query.set_defaults(handler=_cmd_query)
 
     bench = subparsers.add_parser(
         "serve-bench",
-        help="sharded multi-task serving throughput (router + worker pool)",
+        help="multi-task serving throughput (router + scheduler)",
     )
     _add_suite_arguments(bench)
     bench.add_argument("--requests", type=int, default=256)
@@ -938,36 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-wait-ms", type=float, default=5.0)
     bench.add_argument(
         "--mips-backend", choices=available_backends(), default="exact"
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="flush worker threads: each flush splits into up to this "
-        "many concurrent sub-batches (default: 4)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="per-predictor MIPS shard count (wraps the backend as "
-        "sharded:<name>; 1 disables sharding; default: 4)",
-    )
-    bench.add_argument(
-        "--shard-axis",
-        choices=("batch", "vocab"),
-        default="batch",
-        help="partition axis of the sharded MIPS scan (vocab requires "
-        "the exact or threshold backend)",
-    )
-    bench.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="flush worker pool kind: 'thread' shares the GIL (cheap, "
-        "but CPU-bound scans serialise); 'process' rebuilds each route "
-        "in worker processes from --artifacts with mmap-shared weights "
-        "(requires --artifacts; default: thread)",
     )
     bench.add_argument(
         "--cache-entries",
@@ -1027,21 +918,20 @@ def build_parser() -> argparse.ArgumentParser:
         "rate instead of submitting everything at once",
     )
     bench.add_argument(
-        "--chaos-kill-rate",
+        "--chaos-rate",
         type=float,
         default=0.0,
         metavar="R",
-        help="deterministically inject worker-kill faults into fraction "
-        "R of flush sub-batches on the scheduler rows (process mode "
-        "kills real worker processes; the supervised pool rebuilds and "
-        "replays — pair with --retry-max; 0 disables)",
+        help="deterministically fail fraction R of the scheduler row's "
+        "route calls with a transient raise-in-predict fault (pair "
+        "with --retry-max; 0 disables)",
     )
     bench.add_argument(
         "--retry-max",
         type=int,
         default=0,
         metavar="N",
-        help="RetryPolicy attempt budget per flush sub-batch on the "
+        help="RetryPolicy attempt budget per flush on the "
         "scheduler and async rows: transient failures are replayed "
         "bit-identically with deterministic backoff (0 disables)",
     )

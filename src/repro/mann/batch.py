@@ -592,8 +592,7 @@ class EngineStack(_ForwardPass):
     model's temporal vectors, controller weights and output operands.
 
     Engines stack when they share a non-None :meth:`key`. Each
-    threshold backend's ``theta`` is snapshotted here, as
-    :class:`~repro.mips.sharding.ShardedBackend` does: retuning it
+    threshold backend's ``theta`` is snapshotted here: retuning it
     later does not reach the stack.
     """
 

@@ -79,33 +79,16 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_CANONICAL))
 
 
-#: Composition prefix: ``"sharded:<inner>"`` resolves to a
-#: :class:`~repro.mips.sharding.ShardedBackend` factory over the inner
-#: registered backend (e.g. ``get_backend("sharded:exact")``).
-SHARDED_PREFIX = "sharded:"
-
-
 def get_backend(name: str) -> type:
-    """Look up a backend class by name or alias (case-insensitive).
-
-    Names starting with ``"sharded:"`` resolve to a partition-parallel
-    wrapper of the inner backend — ``get_backend("sharded:threshold")``
-    returns a factory whose ``build(...)`` accepts the inner backend's
-    context plus ``n_shards``/``shard_axis``/``merge``.
-    """
+    """Look up a backend class by name or alias (case-insensitive)."""
     try:
         key = name.strip().lower()
     except AttributeError:
         raise TypeError(f"backend name must be a string, got {type(name).__name__}")
-    if key.startswith(SHARDED_PREFIX):
-        from repro.mips.sharding import sharded_backend_factory
-
-        return sharded_backend_factory(key[len(SHARDED_PREFIX):])
     if key not in _REGISTRY:
         raise KeyError(
             f"unknown MIPS backend {name!r}; available: "
-            f"{', '.join(available_backends())} "
-            f"(each also composable as 'sharded:<name>')"
+            f"{', '.join(available_backends())}"
         )
     return _REGISTRY[key]
 
@@ -129,17 +112,17 @@ def inner_products(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
     answered in one call).
 
     Every scoring engine routes its logit evaluations through this one
-    function because the sharded backend's exact-parity contract needs
-    a numeric guarantee a plain BLAS ``@`` cannot give: slicing either
-    operand along the batch or row axis must reproduce the exact same
-    bits as the unsliced call. BLAS dispatches different micro-kernels
+    function because batch independence (a row's answer never depends
+    on what it is batched with) needs a numeric guarantee a plain BLAS
+    ``@`` cannot give: slicing either operand along the batch or row
+    axis must reproduce the exact same bits as the unsliced call. BLAS dispatches different micro-kernels
     (and different reduction orders) depending on operand shape, so
     ``Q[a:b] @ W.T`` can differ from ``(Q @ W.T)[a:b]`` in the last
     ulp. ``np.einsum`` without ``optimize`` computes each output
     element as a fixed-order reduction over its own query/row fiber
     pair — the innermost loop always runs over the E axis — independent
     of the other rows present in the call and of whether the matrix is
-    shared or per-query. That makes shard merges and stacked calls
+    shared or per-query. That makes co-batched and stacked calls
     bit-identical by construction, on any CPU.
     """
     if rows.ndim == 3:

@@ -24,31 +24,6 @@ class SearchResult:
 
 
 @dataclass
-class ShardStats:
-    """Per-shard execution statistics of one sharded ``search_batch``.
-
-    ``sizes`` counts the items each shard processed — queries on the
-    batch axis, candidate output rows on the vocab axis — and
-    ``comparisons`` the logit evaluations each shard paid, so serving
-    traces can show how a flush's scan work split across partitions.
-    """
-
-    axis: str  # "batch" or "vocab"
-    sizes: np.ndarray  # (S,) int64 items per shard
-    comparisons: np.ndarray  # (S,) int64 total logit evaluations per shard
-    early_exits: np.ndarray  # (S,) int64 early-exit count per shard
-
-    def __post_init__(self):
-        self.sizes = np.asarray(self.sizes, dtype=np.int64)
-        self.comparisons = np.asarray(self.comparisons, dtype=np.int64)
-        self.early_exits = np.asarray(self.early_exits, dtype=np.int64)
-
-    @property
-    def n_shards(self) -> int:
-        return int(self.sizes.shape[0])
-
-
-@dataclass
 class BatchSearchResult:
     """Stacked outcome of a whole batch of MIPS queries.
 
@@ -60,17 +35,12 @@ class BatchSearchResult:
     (or ``result(i)``) where scalar results are genuinely needed; the
     deprecated list-of-``SearchResult`` iteration/indexing shims were
     removed after one release.
-
-    ``shards`` is populated by the sharded backend wrapper
-    (:class:`~repro.mips.sharding.ShardedBackend`) with per-partition
-    execution statistics; plain backends leave it ``None``.
     """
 
     labels: np.ndarray  # (B,) int64 argmax index per query
     logits: np.ndarray  # (B,) float64 winning logit per query
     comparisons: np.ndarray  # (B,) int64 logit evaluations per query
     early_exits: np.ndarray  # (B,) bool speculative-exit flag per query
-    shards: ShardStats | None = None  # set by the sharded wrapper only
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)

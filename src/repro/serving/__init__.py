@@ -17,19 +17,16 @@ The deployment story of the repro in three calls::
   co-simulation) — same :class:`QueryRequest`/:class:`QueryResponse`
   types either way.
 * :class:`BatchScheduler` — coalesces individually submitted requests
-  into vectorised flushes (max-batch / max-wait) executed by a pool of
-  ``n_workers`` flush workers (each flush split into concurrent shard
-  sub-batches), recording per-request latency, per-flush batch sizes
-  and sub-batch counts in :class:`ServingStats`.
-  ``worker_mode="process"`` swaps the GIL-bound thread pool for worker
-  processes that rebuild artifact-backed predictors locally from
-  picklable :class:`WorkerSpec` recipes, sharing the weights zero-copy
-  via the memory-mapped artifacts npz.
+  into vectorised flushes (max-batch / max-wait), each one
+  ``predict_batch`` call run inline by the thread that flushes,
+  recording per-request latency, per-flush batch sizes and service
+  times in :class:`ServingStats`.
 * :class:`ModelRouter` — many named predictors (one per bAbI task)
   behind one shared scheduler, routed by ``QueryRequest.task`` with
-  per-route statistics::
+  per-route statistics; same-shaped routes answer a mixed flush with
+  one engine call::
 
-      with ModelRouter.open("artifacts/", n_workers=4, shards=4) as r:
+      with ModelRouter.open("artifacts/") as r:
           answer = r.submit(QueryRequest(story, question, task=6)).result()
 * :class:`MemoryCache` — the cross-request story-encoding cache
   (``cache_entries=`` on :func:`open_predictor` / ``ModelRouter.open``):
@@ -53,15 +50,11 @@ The deployment story of the repro in three calls::
   typed failure taxonomy (transient failures are replay-safe because
   predictions are pure; :func:`is_transient` is the verdict), a
   :class:`RetryPolicy` with deterministic exponential backoff the
-  scheduler applies per sub-batch, a *supervised* process pool that
-  rebuilds itself from retained :class:`WorkerSpec` recipes when a
-  worker dies and replays the affected sub-batches bit-identically,
-  one :class:`CircuitBreaker` per router route
-  (``breaker_threshold=`` on ``ModelRouter.open``, with optional
+  scheduler applies per flush, one :class:`CircuitBreaker` per router
+  route (``breaker_threshold=`` on ``ModelRouter.open``, with optional
   degraded fallbacks), and a deterministic fault-injection harness
-  (:class:`FaultPlan` / :class:`ChaosPredictor`) that kills real
-  worker processes on schedule so all of the above is tested against
-  the genuine failure, not a mock.
+  (:class:`FaultPlan` / :class:`ChaosPredictor`) that fails flushes on
+  a seeded schedule so recovery is reproducible run to run.
 
 All serving timestamps come from one :class:`Clock`
 (:data:`MONOTONIC`); tests swap in a :class:`ManualClock`.
@@ -103,11 +96,9 @@ from repro.serving.resilience import BREAKER_STATES, CircuitBreaker, RetryPolicy
 from repro.serving.router import ModelRouter
 from repro.serving.scheduler import (
     OVERLOAD_POLICIES,
-    WORKER_MODES,
     BatchScheduler,
     FlushCostModel,
 )
-from repro.serving.worker import WorkerSpec
 
 __all__ = [
     "AsyncFrontend",
@@ -132,9 +123,7 @@ __all__ = [
     "SchedulerClosedError",
     "ServingError",
     "TRANSIENT_ERRORS",
-    "WORKER_MODES",
     "WorkerCrashError",
-    "WorkerSpec",
     "DEVICES",
     "HardwarePredictor",
     "MemoryCache",

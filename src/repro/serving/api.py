@@ -107,21 +107,11 @@ class Predictor(Protocol):
     requests with heterogeneous story slot counts (they are padded to a
     common shape internally).
 
-    A predictor may additionally expose
-    ``partition_batch(requests, n) -> list[list[int]]`` — index groups
-    the :class:`~repro.serving.BatchScheduler` worker pool should
-    dispatch as concurrent sub-batches (the router partitions by task
-    this way); without the hook the scheduler splits contiguously.
-
-    Predictors servable with ``worker_mode="process"`` expose three
-    more hooks (see :mod:`repro.serving.worker`):
-    ``worker_specs() -> list[WorkerSpec]`` (picklable rebuild recipes
-    for the pool initializer), ``worker_payload(requests)`` (the spec +
-    encoded arrays shipped to a worker for one sub-batch), and
-    ``worker_decode(requests, labels, logits, comparisons,
-    early_exits)`` (parent-side decoding of the worker's stacked result
-    arrays into responses, sharing the thread path's decode so the two
-    modes answer identically).
+    The :class:`~repro.serving.BatchScheduler` also calls two optional
+    hooks after each flush when a predictor has them:
+    ``cache_counters() -> (hits, misses, evictions) | None`` (mirrored
+    into :class:`ServingStats`) and ``record_failure(requests, error)``
+    (the router feeds its per-route circuit breakers from it).
     """
 
     def predict(self, request: QueryRequest) -> QueryResponse: ...
@@ -189,9 +179,7 @@ class ServingStats:
     """Counters a predictor or scheduler accumulates while serving.
 
     ``batch_sizes`` is one entry per flush (the micro-batching win to
-    watch), ``latencies_s`` one per request, ``shards_per_flush`` how
-    many concurrent sub-batches the worker pool dispatched per flush
-    (always 1 on the single-worker inline path) — each a bounded
+    watch) and ``latencies_s`` one per request — each a bounded
     reservoir sample (:data:`RESERVOIR_CAPACITY`) whose count, mean and
     max stay exact however long the router runs; percentiles
     (``p50_latency_s``/``p95_latency_s``/``p99_latency_s``) come from
@@ -199,8 +187,8 @@ class ServingStats:
 
     ``cache_hits``/``cache_misses``/``cache_evictions`` mirror the
     story-encoding :class:`~repro.serving.cache.MemoryCache` counters
-    of the serving predictor (synced at every flush; all worker
-    processes included), with ``cache_hit_rate`` derived.
+    of the serving predictor (synced at every flush), with
+    ``cache_hit_rate`` derived.
 
     The SLO layer adds four exact counters: ``shed`` (submissions
     rejected with :class:`OverloadError` at the full queue), ``expired``
@@ -214,13 +202,12 @@ class ServingStats:
     ``_service`` reservoir (``p95_service_s``), the base of the
     deadline thread's flush-cost prediction.
 
-    The resilience layer adds six more exact counters: ``retries``
-    (sub-batch replays — retry-policy and pool-rebuild alike),
-    ``recovered`` (requests answered successfully after at least one
-    replay), ``pool_rebuilds`` (supervised process-pool swaps after a
-    worker death), ``breaker_opens`` (circuit-breaker transitions into
-    the open state), ``degraded`` (requests served by a route's
-    fallback while its breaker was open), and ``safety_net_wakeups``
+    The resilience layer adds five more exact counters: ``retries``
+    (flush replays under the retry policy), ``recovered`` (requests
+    answered successfully after at least one replay),
+    ``breaker_opens`` (circuit-breaker transitions into the open
+    state), ``degraded`` (requests served by a route's fallback while
+    its breaker was open), and ``safety_net_wakeups``
     (async-frontend admission waits resolved by the lost-wakeup timer
     rather than a room callback — should stay ~0; growth means wakeups
     are being lost).
@@ -239,7 +226,6 @@ class ServingStats:
     deadline_missed: int = 0
     retries: int = 0
     recovered: int = 0
-    pool_rebuilds: int = 0
     breaker_opens: int = 0
     degraded: int = 0
     safety_net_wakeups: int = 0
@@ -251,22 +237,17 @@ class ServingStats:
         default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
         repr=False,
     )
-    _shards: _Reservoir = field(
-        default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
-        repr=False,
-    )
     _service: _Reservoir = field(
         default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
         repr=False,
     )
 
     def record_flush(
-        self, batch_size: int, n_shards: int = 1, service_s: float | None = None
+        self, batch_size: int, service_s: float | None = None
     ) -> None:
         self.flushes += 1
         self.requests += batch_size
         self._batch_sizes.add(batch_size)
-        self._shards.add(n_shards)
         if service_s is not None:
             self._service.add(service_s)
 
@@ -287,16 +268,12 @@ class ServingStats:
         self.deadline_missed += missed
 
     def record_retry(self, n: int = 1) -> None:
-        """Count sub-batch replays (retry-policy or pool-rebuild)."""
+        """Count flush replays under the retry policy."""
         self.retries += n
 
     def record_recovered(self, n: int = 1) -> None:
         """Count requests answered after at least one replay."""
         self.recovered += n
-
-    def record_pool_rebuild(self, n: int = 1) -> None:
-        """Count supervised process-pool swaps after a worker death."""
-        self.pool_rebuilds += n
 
     def record_breaker_open(self, n: int = 1) -> None:
         """Count circuit-breaker transitions into the open state."""
@@ -329,10 +306,6 @@ class ServingStats:
         return self._latencies.sample
 
     @property
-    def shards_per_flush(self) -> list[float]:
-        return self._shards.sample
-
-    @property
     def latency_count(self) -> int:
         """Exact number of latencies recorded (>= len(latencies_s))."""
         return self._latencies.count
@@ -361,10 +334,6 @@ class ServingStats:
     @property
     def p99_latency_s(self) -> float:
         return self._latencies.percentile(99.0)
-
-    @property
-    def mean_shards_per_flush(self) -> float:
-        return self._shards.mean
 
     # -- SLO / deadline accounting -------------------------------------
     @property

@@ -34,11 +34,8 @@ memories are reused (a mismatch counts in ``stats.collisions`` and is
 served as a miss).
 
 The cache is an LRU bounded in **entries** and optionally **bytes**
-(stories + both memory matrices), safe under concurrent flush workers
-(one lock around the table — ``worker_mode="thread"`` shares one cache
-per route; ``worker_mode="process"`` rebuilds one per worker process
-from its :class:`~repro.serving.worker.WorkerSpec` and merges hit
-statistics parent-side via :meth:`absorb_delta`).
+(stories + both memory matrices). One lock guards the table, so direct
+callers on several threads may share a cache.
 """
 
 from __future__ import annotations
@@ -60,9 +57,7 @@ class CacheStats:
     stored story did not (served as misses), and ``dedupes`` rows that
     rode along with an identical story in the *same* flush (encoded
     once, fanned out — they touched neither the table nor the write
-    phase). Process-mode serving adds worker-side deltas into the
-    parent's stats, so these totals cover every process that served
-    through the predictor.
+    phase).
     """
 
     hits: int = 0
@@ -213,15 +208,6 @@ class MemoryCache:
         :class:`~repro.serving.api.ServingStats` mirrors."""
         with self._lock:
             return self.stats.hits, self.stats.misses, self.stats.evictions
-
-    def absorb_delta(self, delta: tuple[int, int, int]) -> None:
-        """Fold a worker process's per-call counter delta into this
-        (parent-side) cache's statistics."""
-        hits, misses, evictions = delta
-        with self._lock:
-            self.stats.hits += int(hits)
-            self.stats.misses += int(misses)
-            self.stats.evictions += int(evictions)
 
     def clear(self) -> None:
         with self._lock:

@@ -3,43 +3,32 @@
 ``repro.hw.faults`` studies *hardware* fault tolerance (SEU bit-flip
 sweeps through the accelerator's datapath); this module gives the
 *serving* layer the same treatment. Every recovery path the resilience
-layer ships — retry/backoff, supervised pool rebuilds, circuit
-breaking — needs to be exercised without waiting for a real worker to
-die, and reproducibly enough to assert bit-identical recovery. The
-harness has three pieces:
+layer ships — retry/backoff and circuit breaking — needs to be
+exercised without waiting for a real failure, and reproducibly enough
+to assert bit-identical recovery. The harness has three pieces:
 
 * :class:`FaultPlan` — *which executions fault, and how*. A frozen
   value object: per-kind rates whose decisions are a pure function of
   ``(seed, call index)`` (independent of thread interleaving), plus an
   explicit ``schedule`` of ``(index, kind)`` pairs for tests that need
-  a fault at exactly the third sub-batch. ``fork(key)`` derives an
+  a fault at exactly the third call. ``fork(key)`` derives an
   independent per-route plan from one seed.
 * :class:`ChaosPredictor` — a transparent :class:`Predictor` wrapper
-  that consults the plan once per execution and injects the drawn
-  fault. Thread-mode faults fire in ``predict_batch``; process-mode
-  faults ride the worker payload as a :class:`ChaosOp` wrapping the
-  :class:`~repro.serving.worker.WorkerSpec`, and fire *inside the
-  worker process* — ``kill-worker`` really calls ``os._exit``, so the
-  supervised pool's ``BrokenProcessPool`` recovery path is tested
-  against the real thing.
-* :class:`InjectedFaultError` — the transient error the soft fault
-  kinds raise (a :class:`~repro.serving.errors.WorkerCrashError`
-  subclass, so the retry taxonomy replays it).
+  that consults the plan once per ``predict_batch`` call and injects
+  the drawn fault.
+* :class:`InjectedFaultError` — the transient error
+  ``raise-in-predict`` raises (a
+  :class:`~repro.serving.errors.WorkerCrashError` subclass, so the
+  retry taxonomy replays it).
 
 Fault kinds (:data:`FAULT_KINDS`):
 
-``kill-worker``
-    Process mode: the worker process exits hard (``os._exit``),
-    breaking the pool. Thread mode: raises
-    :class:`InjectedFaultError` (a thread cannot be killed safely —
-    the observable effect, a transiently failed sub-batch, is the
-    same).
 ``raise-in-predict``
     Raises :class:`InjectedFaultError` from the predict path —
     a transient model-side crash.
 ``delay-flush``
-    Sleeps ``delay_s`` before predicting (via the injected clock in
-    thread mode), simulating a straggler worker.
+    Sleeps ``delay_s`` (via the injected clock) before predicting,
+    simulating a straggler.
 ``corrupt-payload``
     Raises :class:`~repro.serving.errors.PayloadCorruptionError` —
     a *permanent* fault, exercising the no-retry path.
@@ -56,15 +45,10 @@ from repro.serving.clock import MONOTONIC, Clock
 from repro.serving.errors import PayloadCorruptionError, WorkerCrashError
 
 FAULT_KINDS = (
-    "kill-worker",
     "raise-in-predict",
     "delay-flush",
     "corrupt-payload",
 )
-
-#: Exit status a chaos-killed worker process dies with (distinctive in
-#: core-dump-less CI logs).
-KILL_EXIT_CODE = 87
 
 
 class InjectedFaultError(WorkerCrashError):
@@ -75,16 +59,14 @@ class InjectedFaultError(WorkerCrashError):
 class FaultPlan:
     """Deterministic schedule of injected faults.
 
-    Rates are per *execution* (one ``predict_batch`` call or one
-    process sub-batch payload): execution ``i`` draws a uniform number
-    from ``Random((seed, i))`` — a pure function of the plan, never of
-    thread timing — and walks the cumulative rate intervals in
+    Rates are per *execution* (one ``predict_batch`` call): execution
+    ``i`` draws a uniform number from ``Random((seed, i))`` — a pure
+    function of the plan, never of thread timing — and walks the cumulative rate intervals in
     :data:`FAULT_KINDS` order. ``schedule`` entries override the draw
     at their exact index (use them when a test needs fault *k* at
     call *i*, not merely "about r·n faults somewhere").
     """
 
-    kill_worker_rate: float = 0.0
     raise_rate: float = 0.0
     delay_rate: float = 0.0
     corrupt_rate: float = 0.0
@@ -93,12 +75,7 @@ class FaultPlan:
     schedule: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        rates = (
-            self.kill_worker_rate,
-            self.raise_rate,
-            self.delay_rate,
-            self.corrupt_rate,
-        )
+        rates = (self.raise_rate, self.delay_rate, self.corrupt_rate)
         if any(r < 0 for r in rates) or sum(rates) > 1.0:
             raise ValueError(
                 "fault rates must be >= 0 and sum to <= 1, got "
@@ -117,18 +94,13 @@ class FaultPlan:
 
     @property
     def total_rate(self) -> float:
-        return (
-            self.kill_worker_rate
-            + self.raise_rate
-            + self.delay_rate
-            + self.corrupt_rate
-        )
+        return self.raise_rate + self.delay_rate + self.corrupt_rate
 
     def kind_at(self, index: int) -> str | None:
         """The fault injected at execution ``index`` (None = healthy).
 
         Pure: the same plan always faults the same indices, whatever
-        the thread or process interleaving looks like.
+        the thread interleaving looks like.
         """
         for at, kind in self.schedule:
             if at == index:
@@ -140,13 +112,7 @@ class FaultPlan:
         draw = random.Random(f"{self.seed}:{index}").random()
         edge = 0.0
         for kind, rate in zip(
-            FAULT_KINDS,
-            (
-                self.kill_worker_rate,
-                self.raise_rate,
-                self.delay_rate,
-                self.corrupt_rate,
-            ),
+            FAULT_KINDS, (self.raise_rate, self.delay_rate, self.corrupt_rate)
         ):
             edge += rate
             if draw < edge:
@@ -166,47 +132,14 @@ class FaultPlan:
         return replace(self, seed=derived)
 
 
-@dataclass(frozen=True)
-class ChaosOp:
-    """One process sub-batch's fault rider: the real spec + the fault.
-
-    Travels the pipe in the spec position of the worker payload;
-    :func:`~repro.serving.worker.predict_encoded` calls
-    :meth:`apply_worker_side` before looking up the predictor, which
-    performs the fault (exit / raise / sleep) and unwraps the spec.
-    """
-
-    spec: object
-    kind: str | None = None
-    delay_s: float = 0.0
-
-    def apply_worker_side(self):
-        """Inject the fault inside the worker process; returns the
-        wrapped :class:`~repro.serving.worker.WorkerSpec`."""
-        import os
-        import time
-
-        if self.kind == "kill-worker":
-            os._exit(KILL_EXIT_CODE)
-        if self.kind == "raise-in-predict":
-            raise InjectedFaultError(
-                "chaos: injected predict failure in worker process"
-            )
-        if self.kind == "delay-flush" and self.delay_s > 0:
-            time.sleep(self.delay_s)
-        return self.spec
-
-
 class ChaosPredictor:
     """Wraps a predictor; injects the plan's faults, forwards the rest.
 
-    One fault decision per execution: thread mode consumes an index in
-    ``predict_batch``, process mode in ``worker_payload`` (where the
-    :class:`ChaosOp` is attached). A retried/replayed sub-batch draws a
-    *fresh* index — recovery runs under the same fault pressure as the
-    first attempt, which is what makes chaos soaks honest. Everything
-    the plan does not fault is forwarded verbatim (``__getattr__``
-    delegates the worker/cache/partition hooks), so a rate-0 plan is
+    One fault decision per ``predict_batch`` call. A retried flush
+    draws a *fresh* index — recovery runs under the same fault pressure
+    as the first attempt, which is what makes chaos soaks honest.
+    Everything the plan does not fault is forwarded verbatim
+    (``__getattr__`` delegates the cache hooks), so a rate-0 plan is
     bit-identical to the bare predictor.
 
     ``injected`` counts faults by kind (thread-safe) so tests and the
@@ -237,13 +170,12 @@ class ChaosPredictor:
         with self._lock:
             return self._calls
 
-    # -- thread-mode injection -----------------------------------------
     def predict(self, request):
         return self.predict_batch([request])[0]
 
     def predict_batch(self, requests: Sequence):
         kind = self._next_fault()
-        if kind in ("kill-worker", "raise-in-predict"):
+        if kind == "raise-in-predict":
             raise InjectedFaultError(f"chaos: injected {kind}")
         if kind == "corrupt-payload":
             raise PayloadCorruptionError(
@@ -253,22 +185,8 @@ class ChaosPredictor:
             self.clock.sleep(self.plan.delay_s)
         return self.inner.predict_batch(requests)
 
-    # -- process-mode injection ----------------------------------------
-    def worker_payload(self, requests: Sequence):
-        kind = self._next_fault()
-        if kind == "corrupt-payload":
-            # Corruption is detected at (de)serialisation time — it
-            # never reaches a worker, and it is permanent: no retry.
-            raise PayloadCorruptionError(
-                "chaos: injected payload corruption"
-            )
-        spec, *arrays = self.inner.worker_payload(requests)
-        if kind is not None:
-            spec = ChaosOp(spec=spec, kind=kind, delay_s=self.plan.delay_s)
-        return (spec, *arrays)
-
     # -- transparent delegation ----------------------------------------
     def __getattr__(self, name: str):
-        # Only reached for attributes not defined above: worker_specs,
-        # worker_decode, partition_batch, cache hooks, engine, vocab...
+        # Only reached for attributes not defined above: cache hooks,
+        # engine, vocab...
         return getattr(self.inner, name)

@@ -35,7 +35,6 @@ from repro.hw.config import HwConfig
 from repro.mann.batch import BatchInferenceEngine, EngineStack, infer_story_lengths
 from repro.serving.api import QueryRequest, QueryResponse
 from repro.serving.cache import MemoryCache
-from repro.serving.worker import WorkerSpec
 
 DEVICES = ("sw", "hw")
 
@@ -121,7 +120,6 @@ class SoftwarePredictor:
         engine: BatchInferenceEngine,
         vocab: Vocab | None = None,
         task_id: int | None = None,
-        spec: WorkerSpec | None = None,
     ):
         if engine.mips is None:
             raise ValueError(
@@ -130,9 +128,6 @@ class SoftwarePredictor:
         self.engine = engine
         self.vocab = vocab
         self.task_id = task_id
-        #: Picklable rebuild recipe when opened from an artifact
-        #: directory; process-mode scheduling requires it.
-        self.spec = spec
         #: The engine's story-encoding cache (None when caching is off).
         self.cache = engine.memory_cache
 
@@ -142,13 +137,8 @@ class SoftwarePredictor:
     def _responses(
         self, requests, labels, logits, comparisons, early_exits
     ) -> list[QueryResponse]:
-        """Decode stacked result arrays into responses.
-
-        One code path for both execution modes: the thread path feeds
-        it the in-process ``search`` arrays, the process path the
-        arrays shipped back by ``predict_encoded`` — so the two modes
-        produce identical responses by construction.
-        """
+        """Decode stacked result arrays into responses (this route's
+        own call and a :class:`PredictorStack` call share it)."""
         word = self.vocab.word if self.vocab is not None else None
         # tolist() converts each array to Python scalars in one call.
         return [
@@ -184,45 +174,11 @@ class SoftwarePredictor:
             results.early_exits,
         )
 
-    # -- process-worker hooks (see repro.serving.worker) ---------------
-    def worker_specs(self) -> list[WorkerSpec]:
-        """The specs a process pool needs to rebuild this predictor."""
-        if self.spec is None:
-            raise ValueError(
-                "worker_mode='process' needs artifact-backed predictors "
-                "(workers rebuild the model from the artifact directory); "
-                "open via open_predictor(<artifact dir>, ...) or "
-                "ModelRouter.open(<artifact dir>, ...)"
-            )
-        return [self.spec]
-
-    def worker_payload(self, requests: Sequence[QueryRequest]):
-        """Encode one sub-batch for ``predict_encoded``: its spec plus
-        the stacked arrays — the only things that cross the pipe."""
-        (spec,) = self.worker_specs()
-        stories, questions, lengths = _stack_requests(
-            requests, self.engine.config.memory_size
-        )
-        return spec, stories, questions, lengths
-
-    def worker_decode(
-        self, requests, labels, logits, comparisons, early_exits
-    ) -> list[QueryResponse]:
-        """Decode a worker's stacked arrays (parent-side)."""
-        return self._responses(requests, labels, logits, comparisons, early_exits)
-
     # -- story-encoding cache hooks ------------------------------------
     def cache_counters(self) -> tuple[int, int, int] | None:
         """Cumulative cache ``(hits, misses, evictions)``, or None when
         caching is off — the scheduler mirrors this into its stats."""
         return self.cache.counters() if self.cache is not None else None
-
-    def absorb_worker_cache(self, requests, delta) -> None:
-        """Fold a worker process's per-call cache-counter delta into the
-        parent-side cache statistics (the worker's table itself stays in
-        its own process; only the accounting crosses the pipe)."""
-        if self.cache is not None and delta is not None:
-            self.cache.absorb_delta(delta)
 
 
 class PredictorStack:
@@ -245,8 +201,8 @@ class PredictorStack:
     @staticmethod
     def key(predictor) -> tuple | None:
         """Predictors with equal keys can stack. None — the hw device,
-        wrapped or custom predictors, story-cached engines, sharded or
-        other backends — keeps the predictor's own ``predict_batch``."""
+        wrapped or custom predictors, story-cached engines, other
+        backends — keeps the predictor's own ``predict_batch``."""
         if type(predictor) is not SoftwarePredictor:
             return None
         return EngineStack.key(predictor.engine)
@@ -380,12 +336,9 @@ def open_predictor(
     device: str = "sw",
     mips_backend: str = "exact",
     hw_config: HwConfig | None = None,
-    shards: int | None = None,
-    shard_axis: str = "batch",
     quantized: bool = False,
     cache_entries: int | None = None,
     cache_bytes: int | None = None,
-    spec_source=None,
     **params,
 ):
     """Open a unified :class:`Predictor` over saved or in-memory models.
@@ -395,30 +348,19 @@ def open_predictor(
     :class:`~repro.eval.suite.BabiSuite`, or a single
     :class:`~repro.eval.suite.TaskSystem`. ``task_id`` selects the task
     (optional when the suite holds exactly one). ``mips_backend`` is any
-    registered ``repro.mips`` name — including the shard-parallel
-    composition ``"sharded:<inner>"``; passing ``shards=N`` is the
-    shorthand that wraps the named backend in a
-    :class:`~repro.mips.sharding.ShardedBackend` with ``N`` partitions
-    along ``shard_axis``. ``quantized=True`` serves the fixed-point
-    weights persisted in the artifacts (``save_suite(..., qformat=...)``)
-    instead of the float model. ``**params`` are backend build
+    registered ``repro.mips`` name. ``quantized=True`` serves the
+    fixed-point weights persisted in the artifacts
+    (``save_suite(..., qformat=...)``) instead of the float model.
+    ``**params`` are backend build
     parameters (``rho``, ``index_ordering``, ``seed``, ...). On
     ``device="hw"`` the backend runs inside the accelerator's OUTPUT
-    module via ``hw_config`` (only ``rho``/``index_ordering`` tune it;
-    sharding is a software MIPS-layer construct and is rejected).
+    module via ``hw_config`` (only ``rho``/``index_ordering`` tune it).
 
     ``cache_entries`` enables the cross-request story-encoding cache
     (:class:`~repro.serving.cache.MemoryCache`): replayed stories skip
     the memory-write phase (Eqs. 1–2) bit-identically. It bounds the
     LRU in entries; ``cache_bytes`` optionally bounds resident payload
     bytes. Software device only.
-
-    Predictors opened from an artifact directory additionally carry a
-    :class:`~repro.serving.worker.WorkerSpec` so
-    ``BatchScheduler(worker_mode="process")`` can rebuild them inside
-    worker processes. ``spec_source`` supplies the directory explicitly
-    when the caller already loaded the suite (as ``ModelRouter.open``
-    does) but still wants process-servable predictors.
     """
     if device not in DEVICES:
         raise ValueError(f"unknown device {device!r}; expected one of {DEVICES}")
@@ -427,19 +369,6 @@ def open_predictor(
             "cache_entries= memoises the software engine's memory-write "
             "phase; device='hw' simulates every write cycle-by-cycle"
         )
-    if spec_source is None and isinstance(artifacts, (str, Path)):
-        spec_source = artifacts
-    # Capture the rebuild recipe before the shards shorthand rewrites
-    # mips_backend/params below — the worker replays the same call.
-    spec_args = dict(
-        mips_backend=str(mips_backend),
-        shards=shards,
-        shard_axis=shard_axis,
-        quantized=bool(quantized),
-        cache_entries=cache_entries,
-        cache_bytes=cache_bytes,
-        params=tuple(sorted(params.items())),
-    )
     system, vocab = _resolve_system(artifacts, task_id)
 
     weights = system.weights
@@ -452,10 +381,6 @@ def open_predictor(
         weights = system.quantized.weights
 
     if device == "sw":
-        if shards is not None:
-            if not str(mips_backend).startswith("sharded:"):
-                mips_backend = f"sharded:{mips_backend}"
-            params.update(n_shards=shards, shard_axis=shard_axis)
         from repro.mann.batch import BatchInferenceEngine
 
         memory_cache = (
@@ -472,22 +397,8 @@ def open_predictor(
             memory_cache=memory_cache,
             **params,
         )
-        spec = (
-            WorkerSpec(
-                artifacts=str(spec_source), task_id=system.task_id, **spec_args
-            )
-            if spec_source is not None
-            else None
-        )
-        return SoftwarePredictor(
-            engine, vocab=vocab, task_id=system.task_id, spec=spec
-        )
+        return SoftwarePredictor(engine, vocab=vocab, task_id=system.task_id)
 
-    if shards is not None:
-        raise ValueError(
-            "shards= partitions the software MIPS backend layer; "
-            "device='hw' runs the OUTPUT module's own scan"
-        )
     unsupported = set(params) - {"rho", "index_ordering"}
     if unsupported:
         raise ValueError(

@@ -22,7 +22,7 @@ Two small, deterministic machines the fault-tolerant runtime composes:
   transitions are lock-protected and counted.
 
 The :class:`~repro.serving.BatchScheduler` owns the retry loop (it is
-the layer that can replay a sub-batch bit-identically); the
+the layer that can replay a flush bit-identically); the
 :class:`~repro.serving.ModelRouter` owns one breaker per route.
 """
 

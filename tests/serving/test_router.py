@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.eval.suite import BabiSuite, SuiteConfig
-from repro.serving import ModelRouter, QueryRequest, open_predictor
+from repro.serving import ModelRouter, QueryRequest, QueryResponse, open_predictor
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ class TestRouting:
         }
         expected = [direct[r.task].predict(r) for r in requests]
         with ModelRouter.open(
-            tiny_suite, n_workers=4, max_batch=8, max_wait_s=0.005
+            tiny_suite, max_batch=8, max_wait_s=0.005
         ) as router:
             futures = [router.submit(r) for r in requests]
             answered = [f.result(timeout=10.0) for f in futures]
@@ -134,31 +134,62 @@ class TestRouting:
             router.submit(_request(tiny_suite, 1, 0))
 
 
-class TestPartitioning:
-    def test_partition_batch_is_task_pure_and_complete(self, tiny_suite):
-        """Every sub-batch holds one task only; indices cover the flush."""
-        requests = [
-            _request(tiny_suite, (1, 6)[i % 2], i) for i in range(20)
-        ]
-        with ModelRouter.open(tiny_suite, start_worker=False) as router:
-            groups = router._dispatch.partition_batch(requests, 4)
-        flat = sorted(i for g in groups for i in g)
-        assert flat == list(range(20))
-        for group in groups:
-            assert len({requests[i].task for i in group}) == 1
+class _Answers:
+    """A route that answers every request with label 0."""
 
-    def test_sharded_routes_preserve_parity(self, tiny_suite):
-        requests = [_request(tiny_suite, 1, i) for i in range(10)]
-        plain = ModelRouter.open(tiny_suite, tasks=[1], start_worker=False)
-        sharded = ModelRouter.open(
-            tiny_suite, tasks=[1], shards=4, start_worker=False
+    def predict_batch(self, requests):
+        return [
+            QueryResponse(
+                label=0,
+                logit=0.0,
+                comparisons=1,
+                early_exit=False,
+                request_id=r.request_id,
+            )
+            for r in requests
+        ]
+
+
+class _Fails:
+    def predict_batch(self, requests):
+        raise ValueError("route down")
+
+
+class TestFailedFlush:
+    def test_accounting_does_not_depend_on_route_order(self):
+        """A mixed flush whose later route raises fails every request in
+        it, so no route may count it as served or as a breaker success —
+        whichever route the flush happened to run first."""
+        story = np.ones((2, 3), dtype=np.int64)
+        question = np.ones(3, dtype=np.int64)
+        outcomes = {}
+        for order in (("ok", "bad"), ("bad", "ok")):
+            router = ModelRouter(
+                {"ok": _Answers(), "bad": _Fails()},
+                breaker_threshold=3,
+                start_worker=False,
+            )
+            with router:
+                for _ in range(3):
+                    futures = [
+                        router.submit(QueryRequest(story, question, task=task))
+                        for task in order
+                    ]
+                    router.flush()
+                    for future in futures:
+                        assert isinstance(future.exception(timeout=1.0), ValueError)
+                outcomes[order] = (
+                    router.route_stats["ok"].requests,
+                    router.route_stats["ok"].flushes,
+                    router.breakers["ok"].state,
+                    router.breakers["bad"].state,
+                )
+        assert outcomes[("ok", "bad")] == outcomes[("bad", "ok")] == (
+            0,
+            0,
+            "open",
+            "open",
         )
-        with plain, sharded:
-            a = plain.predict_batch(requests)
-            b = sharded.predict_batch(requests)
-        assert [r.label for r in a] == [r.label for r in b]
-        assert [r.logit for r in a] == [r.logit for r in b]
-        assert [r.comparisons for r in a] == [r.comparisons for r in b]
 
 
 class TestStackedFlush:

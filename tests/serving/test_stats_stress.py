@@ -1,9 +1,9 @@
-"""ServingStats under concurrent hammering, through both worker modes.
+"""ServingStats under concurrent hammering.
 
 The scheduler serialises every stats mutation behind its internal
 stats lock; these tests are the proof — many submitter threads racing
-max-batch inline flushes, the deadline thread, and (in process mode)
-pool completions, with *exact* request totals asserted at the end.
+max-batch inline flushes and the deadline thread (or the deadline
+thread alone), with *exact* request totals asserted at the end.
 A torn reservoir update or a dropped counter increment shows up here
 as an off-by-N total or a non-monotone percentile.
 """
@@ -46,17 +46,17 @@ def _assert_monotone_percentiles(stats) -> None:
     assert 0.0 <= stats.mean_service_s and 0.0 <= stats.p95_service_s
 
 
-@pytest.mark.parametrize("worker_mode", ["thread", "process"])
+# Who runs the flushes: only the scheduler's deadline thread (the
+# AsyncFrontend's setting), or the submitters too, inline at max-batch.
+@pytest.mark.parametrize(
+    "inline_flush", [False, True], ids=["thread", "submitter"]
+)
 def test_concurrent_submitters_exact_totals(
-    tiny_suite, artifacts_dir, worker_mode
+    tiny_suite, artifacts_dir, inline_flush
 ):
     total = N_THREADS * PER_THREAD
     with ModelRouter.open(
-        artifacts_dir,
-        max_batch=8,
-        max_wait_s=0.001,
-        n_workers=2,
-        worker_mode=worker_mode,
+        artifacts_dir, max_batch=8, max_wait_s=0.001, inline_flush=inline_flush
     ) as router:
         barrier = threading.Barrier(N_THREADS)
         futures_by_thread: dict[int, list] = {}
@@ -114,7 +114,6 @@ def test_shed_and_deadline_counters_exact_under_concurrency(
         artifacts_dir,
         max_batch=8,
         max_wait_s=0.0005,
-        n_workers=2,
         queue_cap=4,
         overload_policy="shed",
     ) as router:

@@ -7,6 +7,8 @@ directory through ``--artifacts`` — exercising exactly the
 no-retraining path the serving API exists for.
 """
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -160,32 +162,23 @@ class TestServingCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "one-at-a-time" in out
+        assert "scheduler (max_batch=8)" in out
         assert "micro-batching speedup" in out
-        assert "worker-pool speedup" in out
+        assert "per-route requests: task 1: 32" in out
 
-    def test_serve_bench_workers_and_shards(self, cli_artifacts, capsys):
+    def test_serve_bench_chaos_with_retries(self, cli_artifacts, capsys):
         code = main(
             [
                 "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "24", "--max-batch", "8",
-                "--workers", "2", "--shards", "2",
+                "--requests", "32", "--max-batch", "8",
+                "--chaos-rate", "0.3", "--retry-max", "8",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "worker pool (2 thread workers, 2 shards)" in out
-        assert "per-route requests: task 1: 24" in out
-
-    def test_serve_bench_vocab_axis(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "16", "--max-batch", "8",
-                "--workers", "2", "--shards", "2", "--shard-axis", "vocab",
-            ]
-        )
-        assert code == 0
-        assert "worker pool" in capsys.readouterr().out
+        assert "chaos rate 0.3" in out
+        # Faults fired and every one was retried to success.
+        assert re.search(r"resilience: 0 failed, [1-9]\d* retried", out)
 
     def test_train_quantize_and_query_quantized(self, tmp_path, capsys):
         directory = str(tmp_path / "qsuite")
@@ -193,52 +186,6 @@ class TestServingCommands:
         assert "Q3.8 fixed-point snapshot" in capsys.readouterr().out
         assert main(["query", "--artifacts", directory, "--task", "1", "--quantized"]) == 0
         assert "quantized weights" in capsys.readouterr().out
-
-    def test_serve_bench_vocab_axis_rejects_approximate_backend(self, cli_artifacts):
-        with pytest.raises(SystemExit, match="exhaustive"):
-            main(
-                [
-                    "serve-bench", "--artifacts", cli_artifacts,
-                    "--mips-backend", "alsh",
-                    "--shards", "2", "--shard-axis", "vocab",
-                ]
-            )
-
-    def test_serve_bench_vocab_axis_threshold(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "16", "--max-batch", "8",
-                "--mips-backend", "threshold",
-                "--workers", "2", "--shards", "2", "--shard-axis", "vocab",
-            ]
-        )
-        assert code == 0
-        assert "worker pool" in capsys.readouterr().out
-
-    def test_serve_bench_process_mode(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "24", "--max-batch", "8",
-                "--workers", "2", "--shards", "2",
-                "--worker-mode", "process",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "worker pool (2 process workers, 2 shards)" in out
-        assert "per-route requests: task 1: 24" in out
-
-    def test_serve_bench_process_mode_needs_artifacts(self):
-        with pytest.raises(SystemExit, match="artifacts"):
-            main(
-                [
-                    "serve-bench", "--worker-mode", "process",
-                    "--tasks", "1", "--n-train", "8", "--n-test", "4",
-                    "--epochs", "1",
-                ]
-            )
 
     def test_query_quantized_without_snapshot_exits(self, cli_artifacts):
         with pytest.raises(SystemExit, match="quantized"):
@@ -312,8 +259,8 @@ class TestAsyncServing:
         code = main(
             [
                 "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "32", "--max-batch", "8", "--workers", "2",
-                "--shards", "2", "--async", "--deadline-ms", "10000",
+                "--requests", "32", "--max-batch", "8",
+                "--async", "--deadline-ms", "10000",
             ]
         )
         assert code == 0
