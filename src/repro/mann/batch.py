@@ -21,20 +21,23 @@ reduction runs in a fixed order over the row's own data:
 
 * bag-of-words sums (Eq. 2) add word columns left to right
   (:func:`_bag_of_words`); pad words add an exact zero;
-* the Eq. 1 scores and the Eq. 6 logits are einsum dot products
-  whose innermost loop runs along the E axis
-  (:func:`~repro.mips.backend.inner_products`), a length no batch
-  changes;
-* the Eq. 5 read and Eq. 4's ``key @ w_r`` are einsums whose innermost
-  loop runs along the E output columns while the slots (resp. key
-  entries) add up in order, one at a time;
+* the contractions whose shape the model fixes — Eq. 4's ``key @ w_r``
+  (E x E) and the Eq. 6 logits (V x E) — are one BLAS gemv call per
+  row (:func:`~repro.mips.backend.inner_products`). Every row's call
+  has the same routine, shape and strides whatever the batch, and
+  whether its operand is shared or gathered per row;
+* the Eq. 1 scores and the Eq. 5 read are einsums: the scores' innermost
+  loop runs along the E axis, the read's along the E output columns
+  while the slots add up in order, one at a time;
 * the softmax denominator is a running sum over the slots, left to
   right. Pad slots carry zero attention mass, so in the read and the
   denominator they add exact zeros at the end.
 
-BLAS matmul cannot promise this. It picks micro-kernels, and with them
-reduction orders, by operand shape: a one-row ``key @ w_r`` runs gemv
-where two rows run gemm, and a padded memory changes the gemv shape.
+Eqs. 1 and 5 stay einsum because their shape is the padded slot count,
+which the batch sets: a gemv over L slots may round a row's real slots
+differently once pad slots make L larger. A whole-batch BLAS matmul
+(gemm) suits none of the four: it picks micro-kernels, and with them
+reduction orders, by the batch's shape.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.mips.backend import (
     MipsBackend,
     as_query_matrix,
     get_backend,
+    inner_products,
     ordered_scan,
 )
 from repro.mips.exact import ExactMips
@@ -193,7 +197,12 @@ class _ForwardPass:
         for r, w in enumerate(weights):
             self._t_a[r, : w.config.memory_size] = w.t_a
             self._t_c[r, : w.config.memory_size] = w.t_c
-        self._w_r = np.stack([w.w_r for w in weights])
+        # Eq. 4 runs as ``w_r.T @ key``, one gemv per row
+        # (:func:`~repro.mips.backend.inner_products`), over operands
+        # transposed once here.
+        self._w_r_t = np.ascontiguousarray(
+            np.stack([w.w_r for w in weights]).transpose(0, 2, 1)
+        )
 
     # -- write path ----------------------------------------------------
     def _embed_sentences(
@@ -303,14 +312,14 @@ class _ForwardPass:
                 f"at most {self.memory_size}"
             )
         lengths = self._resolve_lengths(stories, lengths)
-        if route is not None:
-            if np.any(lengths > self._memory_sizes[route]):
-                raise ValueError("a story is longer than its model's memory")
-            # A word index outside [0, V) would read another model's rows
-            # of the shared gather matrices instead of failing.
-            for words in (stories, questions):
-                if words.size and (words.min() < 0 or words.max() >= self._vocab):
-                    raise IndexError(f"word index outside [0, {self._vocab})")
+        if route is not None and np.any(lengths > self._memory_sizes[route]):
+            raise ValueError("a story is longer than its model's memory")
+        # A word index outside [0, V) must fail whatever the batch: ``take``
+        # wraps a negative one to the end of the gather matrix, and a
+        # stacked call would read another model's rows.
+        for words in (stories, questions):
+            if words.size and (words.min() < 0 or words.max() >= self._vocab):
+                raise IndexError(f"word index outside [0, {self._vocab})")
 
         mem_a, mem_c, slot_mask = self._write(stories, lengths, route)
         trace = (
@@ -320,18 +329,18 @@ class _ForwardPass:
         )
 
         if route is None:
-            w_r, eq4 = self._w_r[0], "be,ef->bf"
+            w_r_t = self._w_r_t[0]
         else:
             questions = questions + (route * self._vocab)[:, None]
-            w_r, eq4 = self._w_r[route], "be,bef->bf"
+            w_r_t = self._w_r_t[route]
         key = _bag_of_words(self._w_emb_q, questions)  # Eq. 3, t=1: (B, E)
         h = key
         for _ in range(self.hops):
             scores, attention = self.attention(mem_a, key, slot_mask)  # Eq. 1
-            # Eqs. 5 and 4: each innermost loop runs along the E output
-            # columns, and slots (resp. key entries) add up in order.
+            # Eq. 5: the innermost loop runs along the E output columns
+            # while the slots add up in order.
             read = np.einsum("bl,ble->be", attention, mem_c, optimize=False)
-            h = read + np.einsum(eq4, key, w_r, optimize=False)
+            h = read + inner_products(key, w_r_t)  # Eq. 4
             if trace is not None:
                 trace.keys.append(key)
                 trace.scores.append(scores)

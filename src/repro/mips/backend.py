@@ -104,30 +104,33 @@ def build_backend(
 # Shared batched kernels
 # ---------------------------------------------------------------------------
 def inner_products(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The (B, N) inner-product matrix ``queries @ rows.T`` — computed
-    with a *partition-stable* kernel.
+    """The (B, N) inner-product matrix ``queries @ rows.T``, one BLAS
+    gemv call per query.
 
-    ``rows`` is one (N, E) matrix every query meets, or a (B, N, E)
-    stack holding query b's own matrix at ``rows[b]`` (several models
-    answered in one call).
+    ``queries`` must be C-contiguous, as :func:`as_query_matrix` returns
+    them. ``rows`` is one (N, E) matrix every query meets, or a
+    (B, N, E) stack holding query b's own matrix at ``rows[b]`` (several
+    models answered in one call).
 
     Every scoring engine routes its logit evaluations through this one
     function because batch independence (a row's answer never depends
     on what it is batched with) needs a numeric guarantee a plain BLAS
-    ``@`` cannot give: slicing either operand along the batch or row
-    axis must reproduce the exact same bits as the unsliced call. BLAS dispatches different micro-kernels
-    (and different reduction orders) depending on operand shape, so
-    ``Q[a:b] @ W.T`` can differ from ``(Q @ W.T)[a:b]`` in the last
-    ulp. ``np.einsum`` without ``optimize`` computes each output
-    element as a fixed-order reduction over its own query/row fiber
-    pair — the innermost loop always runs over the E axis — independent
-    of the other rows present in the call and of whether the matrix is
-    shared or per-query. That makes co-batched and stacked calls
-    bit-identical by construction, on any CPU.
+    ``queries @ rows.T`` cannot give: that is one gemm call, whose
+    micro-kernels and reduction orders follow the batch's shape, so
+    ``Q[a:b] @ W.T`` can differ from ``(Q @ W.T)[a:b]`` in the last ulp.
+    ``np.matmul(rows, q[:, :, None])`` instead loops over the queries
+    and makes one gemv call each — ``rows`` (or ``rows[b]``) times the
+    column ``q[b]``. Every call has the same routine, shape and strides
+    whatever the batch, shared or stacked rows alike; only the data
+    pointers change. So a query gets the same bits alone, at any
+    position of any batch, and beside any other model's rows.
+
+    The strides are the reason for the contiguity precondition: numpy
+    passes a strided query to BLAS with its increment, and a reversed
+    (negative-stride) one to its own non-BLAS loop, each of which may
+    round differently from the contiguous call.
     """
-    if rows.ndim == 3:
-        return np.einsum("be,bne->bn", queries, rows, optimize=False)
-    return np.einsum("be,ne->bn", queries, rows, optimize=False)
+    return np.matmul(rows, queries[:, :, None])[:, :, 0]
 
 
 def ordered_scan(
@@ -138,6 +141,7 @@ def ordered_scan(
 ) -> BatchSearchResult:
     """The output scan of Fig. 2 over a whole batch.
 
+    ``queries`` come as :func:`as_query_matrix` returns them.
     ``ordered_weight`` holds the output rows in visit order, ``order``
     maps visit positions to labels and ``theta`` are the inference
     thresholds in visit order. Each is either shared by every query —
@@ -220,10 +224,13 @@ def scan_candidates(
 
 
 def as_query_matrix(queries: np.ndarray) -> np.ndarray:
-    """Normalise ``search_batch`` input to a float64 (B, E) matrix."""
+    """Normalise ``search_batch`` input to a C-contiguous float64 (B, E)
+    matrix: the operand :func:`inner_products` needs to give a query
+    the same bits in every layout it arrives in (a copy at any offset,
+    an F-ordered, transposed or reversed view, a row alone)."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries[None, :]
     if queries.ndim != 2:
         raise ValueError(f"queries must be 1-D or 2-D, got shape {queries.shape}")
-    return queries
+    return np.ascontiguousarray(queries)

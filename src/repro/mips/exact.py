@@ -63,8 +63,7 @@ class ExactMips:
 
     def search(self, query: np.ndarray) -> SearchResult:
         """Scan all indices; returns the exact argmax."""
-        query = np.asarray(query, dtype=np.float64)
-        logits = inner_products(query[None, :], self._ordered_weight)[0]
+        logits = inner_products(as_query_matrix(query), self._ordered_weight)[0]
         pos = int(np.argmax(logits))  # first max in scan order wins ties
         return SearchResult(int(self.order[pos]), float(logits[pos]), logits.shape[0])
 

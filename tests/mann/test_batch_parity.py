@@ -209,6 +209,21 @@ def test_batch_validates_inputs():
         batch.logits(stories, questions, np.array([3]))  # wrong shape
     with pytest.raises(ValueError):
         batch.logits(np.ones((2, 9, 4), dtype=np.int64), questions)  # L > mem
+    # Word indices outside [0, V), with and without a story cache: numpy
+    # would wrap a negative one to the end of the vocabulary.
+    cached = BatchInferenceEngine(
+        weights, memory_cache=MemoryCache(capacity_entries=4)
+    )
+    for engine in (batch, cached):
+        for word in (-1, -100, weights.config.vocab_size):
+            bad_stories = stories.copy()
+            bad_stories[1, 2, 0] = word
+            with pytest.raises(IndexError):
+                engine.logits(bad_stories, questions)
+            bad_questions = questions.copy()
+            bad_questions[0, 3] = word
+            with pytest.raises(IndexError):
+                engine.logits(stories, bad_questions)
 
 
 def test_engine_batch_helpers_delegate_to_batch_engine():

@@ -16,8 +16,10 @@ from repro.mips import (
     build_backend,
     fit_threshold_model,
     get_backend,
+    inner_products,
     register_backend,
 )
+from repro.mips.backend import as_query_matrix
 
 
 @pytest.fixture()
@@ -198,3 +200,81 @@ class TestBatchSearchResult:
         for i, result in enumerate(results.to_list()):
             scalar.record(result, int(answers[i]))
         assert batched == scalar
+
+
+# -- per-row BLAS: a query's bits never depend on its layout or batch ----
+def _layouts(queries: np.ndarray) -> dict[str, np.ndarray]:
+    """The same (B, E) query values in every layout a caller may pass."""
+    layouts = {"c-contiguous": queries}
+    for offset in (1, 2, 3):  # floats into a larger buffer
+        buffer = np.zeros(queries.size + offset, dtype=queries.dtype)
+        copy = buffer[offset:].reshape(queries.shape)
+        copy[...] = queries
+        layouts[f"offset-{offset}"] = copy
+    layouts["transposed"] = np.ascontiguousarray(queries.T).T  # F-ordered
+    layouts["reversed"] = np.ascontiguousarray(queries[:, ::-1])[:, ::-1]
+    return layouts
+
+
+def _all_bits(result: BatchSearchResult, rows=slice(None)):
+    return (
+        result.labels[rows].tolist(),
+        result.logits[rows].tobytes(),
+        result.comparisons[rows].tolist(),
+        result.early_exits[rows].tolist(),
+    )
+
+
+@pytest.mark.parametrize(
+    "shape", [(12, 6), (158, 20), (400, 64)], ids=["12x6", "158x20", "400x64"]
+)
+class TestPerRowBlas:
+    """Eq. 6 is one BLAS gemv call per query (``inner_products``): the
+    same routine, shape and strides whatever the batch, so a query's
+    logits keep their bits in every layout, alone or batched, and on
+    shared or per-query gathered rows."""
+
+    def test_inner_products_in_every_layout_and_alone(self, rng, shape):
+        rows = rng.normal(size=shape)
+        queries = rng.normal(size=(9, shape[1]))
+        expected = inner_products(queries, rows)
+        for name, layout in _layouts(queries).items():
+            actual = inner_products(as_query_matrix(layout), rows)
+            assert actual.tobytes() == expected.tobytes(), name
+        for b in range(len(queries)):
+            alone = inner_products(queries[b : b + 1], rows)
+            assert alone.tobytes() == expected[b : b + 1].tobytes(), b
+
+    def test_shared_and_gathered_rows_agree(self, rng, shape):
+        models = rng.normal(size=(3, *shape))
+        queries = rng.normal(size=(9, shape[1]))
+        route = rng.integers(0, 3, size=len(queries))
+        stacked = inner_products(queries, models[route])
+        for b in range(len(queries)):
+            own = inner_products(queries[b : b + 1], models[route[b]])
+            assert stacked[b].tobytes() == own[0].tobytes(), b
+        shared = inner_products(queries, models[0])
+        gathered = inner_products(queries, models[np.zeros(len(queries), int)])
+        assert shared.tobytes() == gathered.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_search_batch_in_every_layout_and_alone(self, rng, shape, dtype):
+        n, dim = shape
+        weight = rng.normal(size=shape).astype(dtype)
+        train = rng.normal(size=(200, dim)) @ weight.T.astype(np.float64)
+        model = fit_threshold_model(train, train.argmax(axis=1))
+        queries = rng.normal(size=(9, dim)).astype(dtype)
+        for engine in (
+            ExactMips(weight, rng.permutation(n)),
+            InferenceThresholding(weight, model),
+        ):
+            expected = engine.search_batch(queries)
+            for name, layout in _layouts(queries).items():
+                assert _all_bits(engine.search_batch(layout)) == _all_bits(
+                    expected
+                ), name
+                for b in range(len(queries)):
+                    assert engine.search(layout[b]) == expected.result(b), name
+            for b in range(len(queries)):
+                alone = engine.search_batch(queries[b : b + 1])
+                assert _all_bits(alone) == _all_bits(expected, slice(b, b + 1)), b

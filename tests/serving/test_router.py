@@ -254,18 +254,31 @@ class TestStackedFlush:
                 assert router.route_stats[task].flushes == flushes_per_task[task]
 
     def test_out_of_vocabulary_word_fails_the_stacked_flush(self, mixed_suite):
-        """A word index past the vocabulary raises, as in a route's own
-        call, instead of reading another route's embedding rows."""
+        """A word index outside [0, V) raises IndexError stacked with
+        another route, alone in a flush and on the route's own call: it
+        neither reads another route's embedding rows nor wraps a
+        negative index around to the end of the vocabulary."""
         good = _request(mixed_suite, 1, 0)
         batch = mixed_suite.tasks[3].test_batch
-        story = batch.stories[0].copy()
-        story[0, 0] = mixed_suite.tasks[3].weights.config.vocab_size
-        bad = QueryRequest(story, batch.questions[0], task=3)
-        with ModelRouter.open(mixed_suite, start_worker=False) as router:
-            with pytest.raises(IndexError):
-                router.predict_batch([good, bad])
-            with pytest.raises(IndexError):
-                router.predictor(3).predict_batch([bad])
+        vocab = mixed_suite.tasks[3].weights.config.vocab_size
+        bad = []
+        for word in (vocab, -1, -100):
+            story = batch.stories[0].copy()
+            story[0, 0] = word
+            bad.append(QueryRequest(story, batch.questions[0], task=3))
+        question = batch.questions[0].copy()
+        question[0] = -1
+        bad.append(QueryRequest(batch.stories[0], question, task=3))
+        with ModelRouter.open(
+            mixed_suite, mips_backend="threshold", start_worker=False
+        ) as router:
+            for request in bad:
+                with pytest.raises(IndexError):
+                    router.predict_batch([good, request])
+                with pytest.raises(IndexError):
+                    router.predict_batch([request])
+                with pytest.raises(IndexError):
+                    router.predictor(3).predict_batch([request])
 
     def test_unstackable_routes_keep_their_own_call(self, mixed_suite):
         """Story-cached routes are not stacked: a mixed flush calls each
