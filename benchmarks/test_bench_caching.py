@@ -5,13 +5,16 @@ different questions (zipf-skewed popularity, the "millions of users"
 shape), and the memory-write phase (Eqs. 1-2) — the dominant
 per-request cost at production model shapes — depends only on the
 story. This benchmark drives a zipf ladder (s in {0, 0.9, 1.2}) of
-story popularity through the scheduler twice per rung, cache off and
-cache on, asserting bit-identical answers, and persists
+story popularity through the scheduler, cache off and cache on,
+asserting bit-identical answers. Each rung times ``PAIRS`` uncached/
+cached pairs of passes, the side that runs first flipping each pair,
+and reports the median pair ratio with its range: one ~50 ms pass on a
+shared host swings by more than the margin. It persists
 
 * ``benchmarks/output/caching.txt`` — the human-readable ladder, and
 * the ``serving_caching`` summary in
   ``benchmarks/output/BENCH_serving.json`` (hit rate, p50/p95/p99,
-  speedup per rung) that CI archives.
+  median speedup and range per rung) that CI archives.
 
 The model is a *production-shaped* synthetic MANN (vocab 400, embed 64,
 32 memory slots — think full-vocabulary deployment, not the 4-rung
@@ -20,10 +23,10 @@ compute, so what matters is the arithmetic shape, not trained
 accuracy. The story pool (384) deliberately exceeds the cache capacity
 (96): at s=0 the uniform mix thrashes the LRU and the honest low hit
 rate is recorded; at s=1.2 the hot head stays resident and the write
-phase all but disappears. Both sides write with the same bounded-chunk
-kernel (the uncached one over every padded slot, cache misses over
-real sentences only), so the margin is the skipped compute alone:
-1.42-1.51x at s=1.2 on a 2-vCPU host, floor 1.2x under
+phase all but disappears. Both sides embed only real sentences with the
+same bounded-chunk kernel, so the margin is the skipped compute less
+the cache's own bookkeeping: at s=1.2 the median pair read 1.55-1.77x
+over six ladder runs on a 2-vCPU host, floor 1.2x on the median under
 ``--bench-floors``. Single-core safe: the win is eliminated compute,
 not parallelism.
 """
@@ -50,9 +53,11 @@ MAX_BATCH = 128
 STORY_POOL = 384
 CACHE_ENTRIES = 96
 ZIPF_LADDER = (0.0, 0.9, 1.2)
-REPEATS = 3
-#: At high skew the cached scheduler must beat the identical uncached
-#: run by this much (measured 1.42-1.51x; enforced under --bench-floors).
+#: Timed uncached/cached pairs per rung. Odd, so the median ratio is
+#: one pair's: a single pass is a ~50 ms window on a shared host.
+PAIRS = 9
+#: At high skew the median pair must show the cached scheduler beating
+#: the uncached one by this much (enforced under --bench-floors).
 MIN_CACHED_SPEEDUP_HIGH_SKEW = 1.2
 HIGH_SKEW = 1.2
 
@@ -103,30 +108,50 @@ def _timed_pass(predictor, requests):
     return seconds, labels, logits, scheduler.stats
 
 
-def _bench_config(engine, requests):
-    """Warm-up pass (BLAS buffers; cold-cache fill for cached engines)
-    then best-of-REPEATS steady-state timing through one predictor."""
-    predictor = SoftwarePredictor(engine)
-    _timed_pass(predictor, requests)  # warm-up, untimed
-    cache = engine.memory_cache
-    warm = cache.counters() if cache is not None else None
-    best = None
-    for _ in range(REPEATS):
-        seconds, labels, logits, stats = _timed_pass(predictor, requests)
-        if best is not None:
-            assert labels == best[1], "nondeterministic serving answers"
-            assert logits == best[2], "nondeterministic serving logits"
-        if best is None or seconds < best[0]:
-            best = (seconds, labels, logits, stats)
-    hit_rate = None
-    if cache is not None:
-        # Steady-state hit rate: the timed passes only (cold fill
-        # happened in the warm-up pass).
-        hits, misses, _ = (
-            after - before for before, after in zip(warm, cache.counters())
+def _rung(weights, requests):
+    """Time one rung as ``PAIRS`` uncached/cached pairs of passes, the
+    side that runs first flipping each pair, after one untimed warm-up
+    pass per side (BLAS buffers; the cold-cache fill). Returns each
+    side's ``(seconds per pass, stats of its median pass)``, each pair's
+    uncached/cached ratio and the steady-state hit rate."""
+    sides = {
+        "off": SoftwarePredictor(BatchInferenceEngine(weights, "exact")),
+        "on": SoftwarePredictor(
+            BatchInferenceEngine(
+                weights,
+                "exact",
+                memory_cache=MemoryCache(capacity_entries=CACHE_ENTRIES),
+            )
+        ),
+    }
+    answers = {
+        name: _timed_pass(predictor, requests)[1:3]
+        for name, predictor in sides.items()
+    }
+    # The correctness bar: the cache may only remove compute.
+    assert answers["on"] == answers["off"], "the cache changed an answer"
+    cache = sides["on"].engine.memory_cache
+    warm = cache.counters()
+    passes = {"off": [], "on": []}
+    for pair in range(PAIRS):
+        for name in ("off", "on") if pair % 2 == 0 else ("on", "off"):
+            seconds, labels, logits, stats = _timed_pass(sides[name], requests)
+            assert (labels, logits) == answers[name], "nondeterministic answers"
+            passes[name].append((seconds, stats))
+    hits, misses, _ = (
+        after - before for before, after in zip(warm, cache.counters())
+    )
+    ratios = [
+        off[0] / on[0] for off, on in zip(passes["off"], passes["on"])
+    ]
+    timings = {
+        name: (
+            [seconds for seconds, _ in runs],
+            sorted(runs, key=lambda run: run[0])[PAIRS // 2][1],
         )
-        hit_rate = hits / (hits + misses) if hits + misses else 0.0
-    return best, hit_rate
+        for name, runs in passes.items()
+    }
+    return timings, ratios, hits / (hits + misses)
 
 
 def test_bench_zipf_cache_ladder(bench_floor):
@@ -143,62 +168,61 @@ def test_bench_zipf_cache_ladder(bench_floor):
             "p95 (ms)",
             "p99 (ms)",
             "speedup",
+            "range",
         ],
         title=(
             f"Story-encoding cache — vocab {VOCAB}, embed {EMBED}, "
             f"{MEMORY} slots, {N_REQUESTS} requests, pool {STORY_POOL} "
             f"stories, cache {CACHE_ENTRIES} entries, "
-            f"max_batch={MAX_BATCH}, exact backend"
+            f"max_batch={MAX_BATCH}, exact backend; medians of {PAIRS} "
+            "alternating pairs, speedup = uncached/cached time per pair"
         ),
     )
     rows = []
     speedup_at = {}
     for s in ZIPF_LADDER:
         requests = _zipf_requests(pool, s, seed=int(s * 10) + 1)
-        (off_seconds, off_labels, off_logits, off_stats), _ = _bench_config(
-            BatchInferenceEngine(weights, "exact"), requests
-        )
-        (on_seconds, on_labels, on_logits, on_stats), hit_rate = _bench_config(
-            BatchInferenceEngine(
-                weights,
-                "exact",
-                memory_cache=MemoryCache(capacity_entries=CACHE_ENTRIES),
-            ),
-            requests,
-        )
-        # The correctness bar: the cache may only remove compute.
-        assert on_labels == off_labels, f"s={s}: cache changed a label"
-        assert on_logits == off_logits, f"s={s}: cache changed a logit"
-        speedup = off_seconds / on_seconds
-        speedup_at[s] = speedup
-        for name, seconds, stats, rate, rel in (
-            ("off", off_seconds, off_stats, None, 1.0),
-            ("on", on_seconds, on_stats, hit_rate, speedup),
+        timings, ratios, hit_rate = _rung(weights, requests)
+        speedup = float(np.median(ratios))
+        speedup_at[s] = (speedup, min(ratios), max(ratios))
+        for name, rate, (rel, low, high) in (
+            ("off", None, (1.0, None, None)),
+            ("on", hit_rate, speedup_at[s]),
         ):
+            seconds, stats = timings[name]
+            rps = N_REQUESTS / float(np.median(seconds))
             rows.append(
                 {
                     "zipf_s": s,
                     "cache": name,
                     "cache_entries": CACHE_ENTRIES if name == "on" else 0,
-                    "requests_per_s": round(N_REQUESTS / seconds, 1),
+                    "requests_per_s": round(rps, 1),
+                    "requests_per_s_range": [
+                        round(N_REQUESTS / max(seconds), 1),
+                        round(N_REQUESTS / min(seconds), 1),
+                    ],
                     "hit_rate": round(rate, 4) if rate is not None else None,
                     "mean_batch": round(stats.mean_batch_size, 2),
                     "p50_latency_ms": round(stats.p50_latency_s * 1e3, 3),
                     "p95_latency_ms": round(stats.p95_latency_s * 1e3, 3),
                     "p99_latency_ms": round(stats.p99_latency_s * 1e3, 3),
                     "speedup_vs_uncached": round(rel, 3),
+                    "speedup_range": (
+                        [round(low, 3), round(high, 3)] if low is not None else None
+                    ),
                 }
             )
             table.add_row(
                 [
                     f"{s:.1f}",
                     name,
-                    f"{N_REQUESTS / seconds:,.0f}",
+                    f"{rps:,.0f}",
                     f"{rate:.1%}" if rate is not None else "-",
                     f"{stats.p50_latency_s * 1e3:.2f}",
                     f"{stats.p95_latency_s * 1e3:.2f}",
                     f"{stats.p99_latency_s * 1e3:.2f}",
                     f"{rel:.2f}x",
+                    f"{low:.2f}-{high:.2f}x" if low is not None else "-",
                 ]
             )
 
@@ -215,7 +239,12 @@ def test_bench_zipf_cache_ladder(bench_floor):
         "cache_entries": CACHE_ENTRIES,
         "max_batch": MAX_BATCH,
         "zipf_ladder": list(ZIPF_LADDER),
-        "speedup_at_high_skew": round(speedup_at[HIGH_SKEW], 3),
+        "pairs": PAIRS,
+        "speedup_at_high_skew": round(speedup_at[HIGH_SKEW][0], 3),
+        "speedup_range_at_high_skew": [
+            round(speedup_at[HIGH_SKEW][1], 3),
+            round(speedup_at[HIGH_SKEW][2], 3),
+        ],
         "min_speedup_floor": MIN_CACHED_SPEEDUP_HIGH_SKEW,
         "rows": rows,
     }
@@ -226,15 +255,19 @@ def test_bench_zipf_cache_ladder(bench_floor):
         table.render()
         + "\n"
         + "\n".join(
-            f"zipf s={s:.1f}: cached vs uncached {speedup_at[s]:.2f}x"
-            for s in ZIPF_LADDER
+            f"zipf s={s:.1f}: cached vs uncached median {med:.2f}x "
+            f"(range {low:.2f}-{high:.2f}x over {PAIRS} pairs)"
+            for s, (med, low, high) in speedup_at.items()
         )
-        + f"\nfloor at s={HIGH_SKEW}: {MIN_CACHED_SPEEDUP_HIGH_SKEW}x "
+        + f"\nfloor on the median at s={HIGH_SKEW}: "
+        f"{MIN_CACHED_SPEEDUP_HIGH_SKEW}x "
         "(single-core safe: the win is skipped compute, not parallelism)",
     )
 
+    median = speedup_at[HIGH_SKEW][0]
     bench_floor(
-        speedup_at[HIGH_SKEW] >= MIN_CACHED_SPEEDUP_HIGH_SKEW,
-        f"cached scheduler only {speedup_at[HIGH_SKEW]:.2f}x over uncached "
-        f"at zipf s={HIGH_SKEW} (floor {MIN_CACHED_SPEEDUP_HIGH_SKEW}x)",
+        median >= MIN_CACHED_SPEEDUP_HIGH_SKEW,
+        f"cached scheduler only {median:.2f}x over uncached (median of "
+        f"{PAIRS} pairs) at zipf s={HIGH_SKEW} "
+        f"(floor {MIN_CACHED_SPEEDUP_HIGH_SKEW}x)",
     )

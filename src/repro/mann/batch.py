@@ -447,8 +447,14 @@ class BatchInferenceEngine(_ForwardPass):
         per distinct story (within-flush dedupe) — and scattering the
         rows back yields exactly the arrays a full recompute would.
         Cached rows are trimmed to the story's real length; the rows at
-        and beyond it are exactly zero either way. Falls back to the
-        plain path when no cache is configured.
+        and beyond it are exactly zero either way.
+
+        One pass over the rows builds each row's exact story key once
+        (:meth:`~repro.serving.cache.MemoryCache.key`). A row whose key
+        already missed earlier in this flush joins that story's group
+        (a dedupe); any other row looks the key up. Misses are embedded
+        together and put in first-seen order. Falls back to the plain
+        path when no cache is configured.
         """
         cache = self.memory_cache
         if cache is None:
@@ -460,51 +466,38 @@ class BatchInferenceEngine(_ForwardPass):
         mem_a = np.zeros((batch, slots, embed), dtype=dtype)
         mem_c = np.zeros((batch, slots, embed), dtype=dtype)
         slot_mask = np.arange(slots)[None, :] < lengths[:, None]
-        #: key -> story groups sharing that hash, each group the rows of
-        #: one *verified-equal* story, so duplicates inside one flush
-        #: encode once and fan out (within-flush dedupe). Same guard as
-        #: the cache itself: hash equality never substitutes for array
-        #: equality, so colliding stories land in separate groups.
-        pending: dict[bytes, list[list[int]]] = {}
-        groups: list[tuple[bytes, list[int]]] = []
-        for i in range(batch):
-            trimmed = stories[i, : lengths[i]]
-            key = cache.key(trimmed)
-            deduped = False
-            for rows in pending.get(key, ()):
-                rep = rows[0]
-                if lengths[rep] == lengths[i] and np.array_equal(
-                    stories[rep, : lengths[rep]], trimmed
-                ):
-                    rows.append(i)  # duplicate within this flush
-                    cache.note_dedupe()
-                    deduped = True
-                    break
-            if deduped:
+        n_rows = lengths.tolist()
+        # key -> the rows of one story missed in this flush, first row first
+        missed: dict[tuple[int, bytes], list[int]] = {}
+        dedupes = 0
+        for i, n in enumerate(n_rows):
+            key = cache.key(stories[i, :n])
+            rows = missed.get(key)
+            if rows is not None:
+                rows.append(i)  # duplicate within this flush
+                dedupes += 1
                 continue
-            hit = cache.get(key, trimmed)
-            if hit is not None:
-                rows_a, rows_c = hit
-                mem_a[i, : rows_a.shape[0]] = rows_a
-                mem_c[i, : rows_c.shape[0]] = rows_c
+            hit = cache.get(key)
+            if hit is None:
+                missed[key] = [i]
             else:
-                rows = [i]
-                pending.setdefault(key, []).append(rows)
-                groups.append((key, rows))
-        if groups:
-            reps = np.array([rows[0] for _, rows in groups])
+                mem_a[i, :n], mem_c[i, :n] = hit
+        if dedupes:
+            cache.note_dedupe(dedupes)
+        if missed:
+            reps = np.array([rows[0] for rows in missed.values()])
             # Real sentences only, story by story, as write_memory.
             example, slot = np.nonzero(slot_mask[reps])
             miss_a, miss_c = self._embed_sentences(
                 stories[reps[example], slot], slot, None
             )
             end = 0
-            for key, rows in groups:
-                n = lengths[rows[0]]
+            for key, rows in missed.items():
+                n = n_rows[rows[0]]
                 rows_a = miss_a[end : end + n]
                 rows_c = miss_c[end : end + n]
                 end += n
-                cache.put(key, stories[rows[0], :n], rows_a, rows_c)
+                cache.put(key, rows_a, rows_c)
                 for i in rows:
                     mem_a[i, :n] = rows_a
                     mem_c[i, :n] = rows_c

@@ -6,7 +6,7 @@ same story with many different questions (the zipf-skewed "millions of
 users" shape the ROADMAP targets). :class:`MemoryCache` memoises the
 written memory matrices per story so a replayed story skips straight to
 the read hops and the output scan: the dominant per-request cost on a
-hot story becomes one hash lookup.
+hot story becomes one dict lookup.
 
 What is cached, and why it is bit-exact
 ---------------------------------------
@@ -21,31 +21,34 @@ therefore bit-identical whether
 :meth:`~repro.mann.batch.BatchInferenceEngine.write_memory` embedded
 them among a whole padded batch or the miss path of
 :meth:`~repro.mann.batch.BatchInferenceEngine.write_memory_cached`
-embedded only the real sentences of the flush's misses. The padded
-**words** width is also part of the key (trimmed stories of shape
-``(length, words)`` hash whole). Trailing pad words add exact zeros,
-so this is not needed for exactness, but it is harmless: every request
-stream encoded by one vocabulary shares a single sentence width.
+embedded only the real sentences of the flush's misses.
 
-Keys are a BLAKE2b content hash of the trimmed story bytes + shape.
-Hash collisions are guarded, not assumed away: every entry keeps its
-trimmed story and a hit verifies full-array equality before the cached
-memories are reused (a mismatch counts in ``stats.collisions`` and is
-served as a miss).
+Exact keys
+----------
+An entry's key is the story itself: its padded **words** width and its
+trimmed int64 token bytes (:meth:`MemoryCache.key`). Width and byte
+count fix the story's shape, so two keys are equal exactly when the
+trimmed stories are equal, shape included; the dict's own key
+comparison checks the whole story on every hit, and a hit can never
+serve another story's memories. Keying by the padded width, rather
+than stripping trailing pad words (which add exact zeros), costs no
+hits: every request stream encoded by one vocabulary shares a single
+sentence width.
 
-The cache is an LRU bounded in **entries** and optionally **bytes**
-(stories + both memory matrices). One lock guards the table, so direct
-callers on several threads may share a cache.
+The cache is an LRU bounded in entries. One lock guards the table, so
+direct callers on several threads may share a cache.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+
+#: ``(words width, trimmed int64 token bytes)`` of one story.
+StoryKey = tuple[int, bytes]
 
 
 @dataclass
@@ -53,17 +56,14 @@ class CacheStats:
     """Hit/miss accounting of one :class:`MemoryCache`.
 
     ``hits``/``misses`` count lookups, ``evictions`` entries dropped by
-    the LRU bound, ``collisions`` lookups whose hash matched but whose
-    stored story did not (served as misses), and ``dedupes`` rows that
-    rode along with an identical story in the *same* flush (encoded
-    once, fanned out — they touched neither the table nor the write
-    phase).
+    the LRU bound, and ``dedupes`` rows that rode along with an
+    identical story in the *same* flush (encoded once, fanned out —
+    they touched neither the table nor the write phase).
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    collisions: int = 0
     dedupes: int = 0
 
     @property
@@ -82,108 +82,58 @@ class CacheStats:
         return (self.hits + self.dedupes) / total if total else 0.0
 
 
-@dataclass
-class _Entry:
-    story: np.ndarray  # trimmed (length, words) int64, collision guard
-    mem_a: np.ndarray  # (length, embed) address memory rows
-    mem_c: np.ndarray  # (length, embed) content memory rows
-
-    @property
-    def nbytes(self) -> int:
-        return self.story.nbytes + self.mem_a.nbytes + self.mem_c.nbytes
-
-
 class MemoryCache:
-    """LRU of written memory matrices, keyed by story content hash.
+    """LRU of written memory matrices, keyed by the story itself.
 
-    ``capacity_entries`` bounds the entry count, ``capacity_bytes``
-    (optional) additionally bounds the resident payload size; the least
-    recently used entries are evicted when either bound is exceeded.
-    All methods are thread-safe.
+    ``capacity_entries`` bounds the entry count; the least recently
+    used entry is evicted past it. All methods are thread-safe.
     """
 
-    def __init__(
-        self,
-        capacity_entries: int = 1024,
-        capacity_bytes: int | None = None,
-    ):
+    def __init__(self, capacity_entries: int = 1024):
         if capacity_entries < 1:
             raise ValueError("capacity_entries must be >= 1")
-        if capacity_bytes is not None and capacity_bytes < 1:
-            raise ValueError("capacity_bytes must be >= 1 (or None)")
         self.capacity_entries = int(capacity_entries)
-        self.capacity_bytes = capacity_bytes
         self.stats = CacheStats()
-        self._entries: OrderedDict[bytes, _Entry] = OrderedDict()
-        self._nbytes = 0
+        self._entries: OrderedDict[StoryKey, tuple[np.ndarray, np.ndarray]] = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
 
     # -- keys ----------------------------------------------------------
     @staticmethod
-    def key(story: np.ndarray) -> bytes:
-        """Content hash of one trimmed ``(length, words)`` story.
+    def key(story: np.ndarray) -> StoryKey:
+        """The exact key of one trimmed ``(length, words)`` story.
 
-        The shape is hashed alongside the bytes so ``(2, 6)`` and
-        ``(3, 4)`` stories with identical flat content cannot alias.
+        The width rides along with the bytes so ``(2, 6)`` and ``(3, 4)``
+        stories with identical flat content cannot alias; the tokens are
+        taken as int64, so the bytes of another dtype cannot alias either.
         """
-        story = np.ascontiguousarray(story, dtype=np.int64)
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(np.asarray(story.shape, dtype=np.int64).tobytes())
-        digest.update(story.tobytes())
-        return digest.digest()
+        story = np.asarray(story, dtype=np.int64)
+        return story.shape[1], story.tobytes()
 
     # -- lookup / insert ----------------------------------------------
-    def get(
-        self, key: bytes, story: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The cached ``(mem_a, mem_c)`` rows for ``story``, or None.
-
-        ``story`` is the trimmed token matrix the key was derived from;
-        a hit only counts after full-array equality against the stored
-        story (the hash-collision guard).
-        """
+    def get(self, key: StoryKey) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cached ``(mem_a, mem_c)`` rows of the story ``key``
+        names, or None."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and not np.array_equal(entry.story, story):
-                self.stats.collisions += 1
-                entry = None
             if entry is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry.mem_a, entry.mem_c
+            return entry
 
-    def put(
-        self,
-        key: bytes,
-        story: np.ndarray,
-        mem_a: np.ndarray,
-        mem_c: np.ndarray,
-    ) -> None:
-        """Insert one story's memory rows, evicting LRU entries past the
-        bounds. The entry stores copies: callers pass views into a
-        flush's batch arrays, which must not stay alive with the entry
-        (nor count against ``capacity_bytes`` at only the view's size)."""
-        entry = _Entry(
-            story=np.array(story, dtype=np.int64),
-            mem_a=np.array(mem_a),
-            mem_c=np.array(mem_c),
-        )
-        if self.capacity_bytes is not None and entry.nbytes > self.capacity_bytes:
-            return  # larger than the whole budget: not cacheable
+    def put(self, key: StoryKey, mem_a: np.ndarray, mem_c: np.ndarray) -> None:
+        """Insert one story's memory rows, evicting the LRU entry past
+        the bound. The entry stores copies: callers pass views into a
+        flush's batch arrays, which must not stay alive with the entry."""
+        entry = (np.array(mem_a), np.array(mem_c))
         with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._nbytes -= previous.nbytes
+            self._entries.pop(key, None)
             self._entries[key] = entry
-            self._nbytes += entry.nbytes
-            while len(self._entries) > self.capacity_entries or (
-                self.capacity_bytes is not None
-                and self._nbytes > self.capacity_bytes
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self._nbytes -= evicted.nbytes
+            if len(self._entries) > self.capacity_entries:
+                self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
     def note_dedupe(self, n: int = 1) -> None:
@@ -198,11 +148,6 @@ class MemoryCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def nbytes(self) -> int:
-        with self._lock:
-            return self._nbytes
-
     def counters(self) -> tuple[int, int, int]:
         """Cumulative ``(hits, misses, evictions)`` — the triple
         :class:`~repro.serving.api.ServingStats` mirrors."""
@@ -212,7 +157,6 @@ class MemoryCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._nbytes = 0
 
     def __len__(self) -> int:
         return self.entries
@@ -220,6 +164,5 @@ class MemoryCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MemoryCache(entries={self.entries}/{self.capacity_entries}, "
-            f"nbytes={self.nbytes}, hits={self.stats.hits}, "
-            f"misses={self.stats.misses})"
+            f"hits={self.stats.hits}, misses={self.stats.misses})"
         )

@@ -338,7 +338,6 @@ def open_predictor(
     hw_config: HwConfig | None = None,
     quantized: bool = False,
     cache_entries: int | None = None,
-    cache_bytes: int | None = None,
     **params,
 ):
     """Open a unified :class:`Predictor` over saved or in-memory models.
@@ -357,10 +356,10 @@ def open_predictor(
     module via ``hw_config`` (only ``rho``/``index_ordering`` tune it).
 
     ``cache_entries`` enables the cross-request story-encoding cache
-    (:class:`~repro.serving.cache.MemoryCache`): replayed stories skip
-    the memory-write phase (Eqs. 1–2) bit-identically. It bounds the
-    LRU in entries; ``cache_bytes`` optionally bounds resident payload
-    bytes. Software device only.
+    (:class:`~repro.serving.cache.MemoryCache`), an LRU of that many
+    stories keyed by each story's exact tokens: replayed stories skip
+    the memory-write phase (Eqs. 1–2) bit-identically. Software device
+    only.
     """
     if device not in DEVICES:
         raise ValueError(f"unknown device {device!r}; expected one of {DEVICES}")
@@ -384,9 +383,7 @@ def open_predictor(
         from repro.mann.batch import BatchInferenceEngine
 
         memory_cache = (
-            MemoryCache(
-                capacity_entries=cache_entries, capacity_bytes=cache_bytes
-            )
+            MemoryCache(capacity_entries=cache_entries)
             if cache_entries is not None
             else None
         )

@@ -317,7 +317,6 @@ class ModelRouter:
         mips_backend: str = "exact",
         quantized: bool = False,
         cache_entries: int | None = None,
-        cache_bytes: int | None = None,
         max_batch: int = 32,
         max_wait_s: float = 0.005,
         start_worker: bool = True,
@@ -339,9 +338,10 @@ class ModelRouter:
         ``tasks`` restricts the routes (default: every task present).
         The remaining keywords go to ``open_predictor`` per route —
         including ``quantized`` serving and the story-encoding cache
-        bounds ``cache_entries``/``cache_bytes`` (one
-        :class:`~repro.serving.cache.MemoryCache` **per route** — keys
-        never collide across vocabularies/models).
+        bound ``cache_entries`` (one
+        :class:`~repro.serving.cache.MemoryCache` **per route**: each
+        model writes its own memories, so a story's key names its tokens
+        and the route names its model).
         ``queue_cap``/``overload_policy``/``inline_flush`` are the
         shared scheduler's admission-control knobs (see
         :class:`~repro.serving.BatchScheduler`).
@@ -391,7 +391,6 @@ class ModelRouter:
                 mips_backend=mips_backend,
                 quantized=quantized,
                 cache_entries=cache_entries,
-                cache_bytes=cache_bytes,
                 **params,
             )
             for task in tasks

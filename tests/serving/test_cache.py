@@ -5,15 +5,20 @@ tell": every label, logit, comparison count and early-exit flag must be
 bit-identical whether a story's memory was computed this flush, served
 from the cache, or deduped within the flush — across every MIPS
 backend. The rest of
-the module pins the cache mechanics themselves: LRU order, byte bounds,
-within-flush dedupe and the hash-collision guard.
+the module pins the cache mechanics themselves: LRU order, within-flush
+dedupe and exact story keys.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.mann import BatchInferenceEngine, MannConfig, MannWeights
 from repro.serving import (
     MemoryCache,
     ModelRouter,
@@ -120,63 +125,47 @@ class TestMemoryCacheMechanics:
     def test_lru_eviction_order(self):
         rng = np.random.default_rng(0)
         cache = MemoryCache(capacity_entries=2)
-        stories = [self._story(rng) for _ in range(3)]
-        keys = [MemoryCache.key(s) for s in stories]
-        cache.put(keys[0], stories[0], self._mem(rng), self._mem(rng))
-        cache.put(keys[1], stories[1], self._mem(rng), self._mem(rng))
+        keys = [MemoryCache.key(self._story(rng)) for _ in range(3)]
+        cache.put(keys[0], self._mem(rng), self._mem(rng))
+        cache.put(keys[1], self._mem(rng), self._mem(rng))
         # Touch story 0 so story 1 becomes the LRU entry.
-        assert cache.get(keys[0], stories[0]) is not None
-        cache.put(keys[2], stories[2], self._mem(rng), self._mem(rng))
+        assert cache.get(keys[0]) is not None
+        cache.put(keys[2], self._mem(rng), self._mem(rng))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert cache.get(keys[1], stories[1]) is None  # evicted (LRU)
-        assert cache.get(keys[0], stories[0]) is not None  # kept (touched)
-        assert cache.get(keys[2], stories[2]) is not None
-
-    def test_capacity_bytes_bound(self):
-        rng = np.random.default_rng(1)
-        story = self._story(rng)
-        mem_a, mem_c = self._mem(rng), self._mem(rng)
-        entry_bytes = story.nbytes + mem_a.nbytes + mem_c.nbytes
-        cache = MemoryCache(capacity_entries=100, capacity_bytes=2 * entry_bytes)
-        for _ in range(5):
-            s = self._story(rng)
-            cache.put(MemoryCache.key(s), s, self._mem(rng), self._mem(rng))
-        assert len(cache) == 2
-        assert cache.nbytes <= 2 * entry_bytes
-        assert cache.stats.evictions == 3
-        # An entry larger than the whole budget is simply not cached.
-        wide = self._story(rng, length=40, words=64)
-        cache.put(
-            MemoryCache.key(wide),
-            wide,
-            self._mem(rng, length=40, embed=64),
-            self._mem(rng, length=40, embed=64),
-        )
-        assert cache.get(MemoryCache.key(wide), wide) is None
+        assert cache.get(keys[1]) is None  # evicted (LRU)
+        assert cache.get(keys[0]) is not None  # kept (touched)
+        assert cache.get(keys[2]) is not None
 
     def test_key_separates_shapes_with_identical_bytes(self):
         flat = np.arange(12, dtype=np.int64)
         assert MemoryCache.key(flat.reshape(2, 6)) != MemoryCache.key(
             flat.reshape(3, 4)
         )
+        # Tokens are keyed as int64 whatever dtype they arrive in.
+        assert MemoryCache.key(flat.reshape(3, 4).astype(np.int32)) == (
+            MemoryCache.key(flat.reshape(3, 4))
+        )
 
-    def test_collision_guard_full_array_equality(self, monkeypatch):
-        """Two different stories forced onto one hash key must not serve
-        each other's memories — the stored-story equality check catches
-        the collision and serves a miss."""
+    def test_collision_guard_full_array_equality(self):
+        """The key is the whole story, so a hit needs full-array
+        equality: a one-token variant, the story's own prefix and its
+        flat tokens at another width each miss, while an equal story in
+        a fresh array hits and gets the stored rows."""
         rng = np.random.default_rng(2)
         cache = MemoryCache(capacity_entries=8)
-        story_a, story_b = self._story(rng), self._story(rng)
-        mem = self._mem(rng)
-        monkeypatch.setattr(
-            MemoryCache, "key", staticmethod(lambda story: b"same-key")
-        )
-        cache.put(MemoryCache.key(story_a), story_a, mem, mem)
-        assert cache.get(MemoryCache.key(story_b), story_b) is None
-        assert cache.stats.collisions == 1
-        hit = cache.get(MemoryCache.key(story_a), story_a)
-        assert hit is not None and np.array_equal(hit[0], mem)
+        story = self._story(rng)
+        mem_a, mem_c = self._mem(rng), self._mem(rng)
+        cache.put(MemoryCache.key(story), mem_a, mem_c)
+        one_token = story.copy()
+        one_token[-1, -1] += 1
+        for other in (one_token, story[:-1], story.reshape(6, 4)):
+            assert cache.get(MemoryCache.key(other)) is None
+        assert cache.stats.misses == 3
+        hit = cache.get(MemoryCache.key(story.copy()))
+        assert hit is not None
+        assert np.array_equal(hit[0], mem_a) and np.array_equal(hit[1], mem_c)
+        assert cache.stats.hits == 1
 
     def test_within_flush_dedupe(self, artifacts_dir):
         """Duplicate stories inside one batch encode once: the cache
@@ -204,8 +193,7 @@ class TestMemoryCacheMechanics:
 
     def test_entries_own_their_arrays(self, artifacts_dir):
         """Entries must not be views into a flush's batch arrays: a view
-        would keep the whole stacked batch alive and count against
-        capacity_bytes at only its own size."""
+        would keep the whole stacked batch alive with the entry."""
         from repro.artifacts import load_suite
 
         predictor = open_predictor(artifacts_dir, 1, cache_entries=64)
@@ -225,46 +213,148 @@ class TestMemoryCacheMechanics:
         assert (cache.stats.hits, cache.stats.misses, cache.stats.dedupes) == (1, 4, 1)
         entries = list(cache._entries.values())
         assert len(entries) == 4
-        for entry in entries:
-            for array in (entry.story, entry.mem_a, entry.mem_c):
+        for mem_a, mem_c in entries:
+            for array in (mem_a, mem_c):
                 assert array.base is None and array.flags.owndata
-        assert cache.nbytes == sum(entry.nbytes for entry in entries)
 
-    def test_collision_guard_end_to_end(self, artifacts_dir, monkeypatch):
-        """Even with a degenerate (constant) hash the engine still
-        answers every request correctly — collisions degrade to
-        misses, never to wrong memories."""
+    def test_collision_guard_end_to_end(self, artifacts_dir):
+        """Near-identical stories never share an entry: a story, two of
+        its prefixes and a one-word variant each miss once and hit on
+        replay, and every answer equals the uncached predictor's."""
         from repro.artifacts import load_suite
 
         plain = open_predictor(artifacts_dir, 1)
         cached = open_predictor(artifacts_dir, 1, cache_entries=64)
-        monkeypatch.setattr(
-            MemoryCache, "key", staticmethod(lambda story: b"constant")
-        )
         test = load_suite(artifacts_dir).tasks[1].test_batch
+        story, n = test.stories[0], int(test.story_lengths[0])
+        variant = story.copy()
+        # Swap the last sentence's last word for another of the story's.
+        variant[n - 1, -1] = next(
+            word for word in story[:n, -1] if word != story[n - 1, -1]
+        )
         requests = [
-            QueryRequest(
-                test.stories[i],
-                test.questions[i],
-                n_sentences=int(test.story_lengths[i]),
-                request_id=i,
+            QueryRequest(tokens, test.questions[0], n_sentences=k, request_id=i)
+            for i, (tokens, k) in enumerate(
+                [(story, n), (story, n - 1), (story, n - 2), (variant, n)]
             )
-            for i in range(6)
         ]
         expected = plain.predict_batch(requests)
         _assert_identical(expected, cached.predict_batch(requests))
+        stats = cached.cache.stats
+        assert (stats.hits, stats.misses, stats.dedupes) == (0, 4, 0)
         _assert_identical(expected, cached.predict_batch(requests))
-        assert cached.cache.stats.collisions > 0
+        assert (stats.hits, stats.misses, stats.dedupes) == (4, 4, 0)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity_entries"):
             MemoryCache(capacity_entries=0)
-        with pytest.raises(ValueError, match="capacity_bytes"):
-            MemoryCache(capacity_bytes=0)
 
     def test_hw_device_rejects_cache(self, artifacts_dir):
         with pytest.raises(ValueError, match="cache_entries"):
             open_predictor(artifacts_dir, 1, device="hw", cache_entries=8)
+
+
+BANK_VOCAB, BANK_SLOTS, BANK_WIDTHS, BANK_RANDOM = 11, 6, (4, 6), 5
+
+
+def _bank_weights() -> MannWeights:
+    rng = np.random.default_rng(3)
+    v, e, l = BANK_VOCAB, 5, BANK_SLOTS
+    config = MannConfig(vocab_size=v, embed_dim=e, memory_size=l)
+
+    def m(*shape):
+        return rng.normal(size=shape)
+
+    return MannWeights(
+        config, m(v, e), m(v, e), m(v, e), m(e, e), m(v, e), m(l, e), m(l, e)
+    )
+
+
+def _story_bank() -> dict[int, list[tuple[np.ndarray, int]]]:
+    """``(padded tokens, length)`` stories per sentence width. At both
+    widths: a story with the same flat tokens as its twin at the other
+    width (3 x 4 and 2 x 6), a story and its own prefix, then random
+    stories with pad words, more of them than any tested capacity."""
+    rng = np.random.default_rng(4)
+    flat = rng.integers(1, BANK_VOCAB, 12)
+    bank = {}
+    for width in BANK_WIDTHS:
+        twin = np.zeros((BANK_SLOTS, width), dtype=np.int64)
+        twin.flat[:12] = flat
+        full = np.zeros((BANK_SLOTS, width), dtype=np.int64)
+        full[:4] = rng.integers(1, BANK_VOCAB, (4, width))
+        stories = [(twin, 12 // width), (full, 4), (full, 3)]
+        for _ in range(BANK_RANDOM):
+            n = int(rng.integers(1, BANK_SLOTS + 1))
+            story = np.zeros((BANK_SLOTS, width), dtype=np.int64)
+            story[:n] = rng.integers(0, BANK_VOCAB, (n, width))
+            stories.append((story, n))
+        bank[width] = stories
+    return bank
+
+
+BANK = _story_bank()
+FLUSH = st.tuples(
+    st.sampled_from(BANK_WIDTHS),
+    st.integers(0, BANK_SLOTS),  # extra slot padding past the longest story
+    st.lists(st.integers(0, 2 + BANK_RANDOM), min_size=1, max_size=10),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 4), flushes=st.lists(FLUSH, min_size=1, max_size=8))
+@example(
+    capacity=2,
+    flushes=[
+        (4, 0, [1, 2, 1, 1, 0]),  # a story beside its prefix, in-flush dupes
+        (6, 2, [0, 3]),  # the width-6 twin of width-4 story 0
+        (4, 6, [0, 1, 4, 5, 6, 7]),  # replays; more stories than capacity
+        (4, 1, [1, 0, 2]),
+    ],
+)
+def test_exact_keys_write_bit_identical_rows_with_lru_counters(capacity, flushes):
+    """Flush sequences through one cache: every row is bit-identical to
+    ``write_memory``, and (hits, misses, dedupes, evictions) equal a
+    plain-Python LRU that names each story by its token rows."""
+    cache = MemoryCache(capacity_entries=capacity)
+    engine = BatchInferenceEngine(_bank_weights(), memory_cache=cache)
+    lru: OrderedDict = OrderedDict()
+    hits = misses = dedupes = evictions = 0
+    for width, extra, picks in flushes:
+        lengths = np.array([BANK[width][p][1] for p in picks])
+        slots = min(BANK_SLOTS, int(lengths.max()) + extra)
+        stories = np.stack([BANK[width][p][0][:slots] for p in picks])
+        mem_a, mem_c, mask = engine.write_memory_cached(stories, lengths)
+        ref_a, ref_c, ref_mask = engine.write_memory(stories, lengths)
+        assert mem_a.tobytes() == ref_a.tobytes()
+        assert mem_c.tobytes() == ref_c.tobytes()
+        assert np.array_equal(mask, ref_mask)
+
+        missed = {}
+        for p in picks:
+            tokens, n = BANK[width][p]
+            story = tuple(tuple(row) for row in tokens[:n].tolist())
+            if story in missed:
+                dedupes += 1
+            elif story in lru:
+                hits += 1
+                lru.move_to_end(story)
+            else:
+                misses += 1
+                missed[story] = None
+        for story in missed:
+            lru[story] = None
+            if len(lru) > capacity:
+                lru.popitem(last=False)
+                evictions += 1
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.dedupes, stats.evictions) == (
+            hits,
+            misses,
+            dedupes,
+            evictions,
+        )
+    assert len(cache) == len(lru)
 
 
 class TestServingStatsReservoir:
