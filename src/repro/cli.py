@@ -265,24 +265,16 @@ def _cmd_query(args: argparse.Namespace) -> None:
         )
 
     scheduler = None
-    if args.deadline_ms or args.retry_max:
-        # Deadline-stamped (or retry-armed) queries ride the async SLO
-        # front end: same predictor, plus micro-batching, per-request
-        # deadline attainment and retry accounting (printed after the
-        # table).
+    if args.deadline_ms:
+        # Deadline-stamped queries ride the async SLO front end: same
+        # predictor, plus micro-batching and per-request deadline
+        # attainment (printed after the table).
         import asyncio
 
-        from repro.serving import AsyncFrontend, BatchScheduler, RetryPolicy
+        from repro.serving import AsyncFrontend, BatchScheduler
 
         scheduler = BatchScheduler(
-            predictor,
-            max_batch=max(1, len(requests)),
-            max_wait_s=0.002,
-            retry_policy=(
-                RetryPolicy(max_attempts=args.retry_max)
-                if args.retry_max
-                else None
-            ),
+            predictor, max_batch=max(1, len(requests)), max_wait_s=0.002
         )
 
         def serve(wave):
@@ -328,18 +320,11 @@ def _cmd_query(args: argparse.Namespace) -> None:
     if scheduler is not None:
         scheduler.close()
         stats = scheduler.stats
-        if args.deadline_ms:
-            print(
-                f"deadline {args.deadline_ms:.1f} ms: {stats.deadline_met} met / "
-                f"{stats.deadline_missed} missed "
-                f"(goodput {stats.goodput_rate:.1%})"
-            )
-        if args.retry_max:
-            print(
-                f"retries (max {args.retry_max} attempts): "
-                f"{stats.retries} replays, {stats.recovered} requests "
-                "recovered"
-            )
+        print(
+            f"deadline {args.deadline_ms:.1f} ms: {stats.deadline_met} met / "
+            f"{stats.deadline_missed} missed "
+            f"(goodput {stats.goodput_rate:.1%})"
+        )
     cache = getattr(predictor, "cache", None)
     if cache is not None:
         stats = cache.stats
@@ -425,7 +410,6 @@ def _timed_async_run(args: argparse.Namespace, suite, requests):
         DeadlineExceededError,
         ModelRouter,
         OverloadError,
-        RetryPolicy,
     )
 
     router = ModelRouter.open(
@@ -438,13 +422,6 @@ def _timed_async_run(args: argparse.Namespace, suite, requests):
         queue_cap=args.queue_cap,
         overload_policy=args.overload_policy,
         inline_flush=False,
-        # The async pass stays chaos-free; retries still apply so the
-        # row is comparable to the sync scheduler rows under --retry-max.
-        retry_policy=(
-            RetryPolicy(max_attempts=args.retry_max)
-            if args.retry_max
-            else None
-        ),
     )
     deadline_s = args.deadline_ms / 1e3 if args.deadline_ms else None
 
@@ -492,7 +469,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
     one-at-a-time ``predict`` calls, the batching scheduler, and with
     ``--async`` the asyncio frontend.
     """
-    from repro.serving import ModelRouter, ServingError
+    from repro.serving import ModelRouter
 
     suite = _obtain_suite(args)
     if args.zipf is not None:
@@ -513,41 +490,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
     one_at_a_time = time.perf_counter() - start
     direct.close()
 
-    # Resilience knobs apply to the scheduler row only — the direct
-    # baseline above stays fault-free by construction.
-    resilience_kwargs = {}
-    if args.retry_max:
-        from repro.serving import RetryPolicy
-
-        resilience_kwargs["retry_policy"] = RetryPolicy(
-            max_attempts=args.retry_max
-        )
-    if args.breaker_threshold is not None:
-        resilience_kwargs["breaker_threshold"] = args.breaker_threshold
-    if args.chaos_rate:
-        from repro.serving import FaultPlan
-
-        resilience_kwargs["chaos_plan"] = FaultPlan(raise_rate=args.chaos_rate)
-
-    router = ModelRouter.open(
-        suite, tasks=list(suite.tasks), **open_kwargs, **resilience_kwargs
-    )
-    failed = 0
+    router = ModelRouter.open(suite, tasks=list(suite.tasks), **open_kwargs)
     start = time.perf_counter()
     with router:
-        futures = []
-        for request in requests:
-            try:
-                futures.append(router.submit(request))
-            except ServingError:  # e.g. an open route breaker
-                failed += 1
+        futures = [router.submit(request) for request in requests]
         for future in futures:
-            try:
-                future.result()
-            except ServingError:
-                # Chaos can out-pressure the retry budget; a typed
-                # failure is an accounted outcome, not a bench bug.
-                failed += 1
+            future.result()
     seconds = time.perf_counter() - start
 
     mix = f"zipf(s={args.zipf})" if args.zipf is not None else "round-robin"
@@ -561,8 +509,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             "p99 (ms)",
             "shed",
             "expired",
-            "retried",
-            "recovered",
             "goodput",
         ],
         title=(
@@ -573,7 +519,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                 if args.cache_entries
                 else ""
             )
-            + (f", chaos rate {args.chaos_rate}" if args.chaos_rate else "")
         ),
     )
     table.add_row(
@@ -581,8 +526,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             "one-at-a-time",
             f"{args.requests / one_at_a_time:.0f}",
             "1.0",
-            "-",
-            "-",
             "-",
             "-",
             "-",
@@ -608,8 +551,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                 f"{stats.p99_latency_s * 1e3:.2f}",
                 str(stats.shed),
                 str(stats.expired),
-                str(stats.retries),
-                str(stats.recovered),
                 goodput,
             ]
         )
@@ -638,12 +579,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             )
         )
     stats = router.stats
-    if args.chaos_rate or args.retry_max or args.breaker_threshold:
-        print(
-            f"resilience: {failed} failed, "
-            f"{stats.retries} retried, {stats.recovered} recovered, "
-            f"{stats.breaker_opens} breaker opens"
-        )
     print(f"micro-batching speedup: {one_at_a_time / seconds:.1f}x")
     if args.cache_entries:
         print(
@@ -838,15 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         "through the async front end (AsyncFrontend) and deadline "
         "attainment is reported after the table",
     )
-    query.add_argument(
-        "--retry-max",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve through the batching scheduler with a RetryPolicy "
-        "of N total attempts per flush: transient flush failures "
-        "are replayed bit-identically (0 disables)",
-    )
     query.set_defaults(handler=_cmd_query)
 
     bench = subparsers.add_parser(
@@ -916,33 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pace the --async pass open-loop at this offered request "
         "rate instead of submitting everything at once",
-    )
-    bench.add_argument(
-        "--chaos-rate",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="deterministically fail fraction R of the scheduler row's "
-        "route calls with a transient raise-in-predict fault (pair "
-        "with --retry-max; 0 disables)",
-    )
-    bench.add_argument(
-        "--retry-max",
-        type=int,
-        default=0,
-        metavar="N",
-        help="RetryPolicy attempt budget per flush on the "
-        "scheduler and async rows: transient failures are replayed "
-        "bit-identically with deterministic backoff (0 disables)",
-    )
-    bench.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="arm one per-route circuit breaker opening after N "
-        "consecutive flush failures (requests for an open route fail "
-        "fast with RouteUnavailableError; default: no breakers)",
     )
     bench.set_defaults(handler=_cmd_serve_bench)
 

@@ -45,16 +45,12 @@ The deployment story of the repro in three calls::
                                     overload_policy="shed") as frontend:
           response = await frontend.query(request, deadline_s=0.05)
 
-* **Fault tolerance** (:mod:`repro.serving.errors` /
-  :mod:`repro.serving.resilience` / :mod:`repro.serving.chaos`) — a
-  typed failure taxonomy (transient failures are replay-safe because
-  predictions are pure; :func:`is_transient` is the verdict), a
-  :class:`RetryPolicy` with deterministic exponential backoff the
-  scheduler applies per flush, one :class:`CircuitBreaker` per router
-  route (``breaker_threshold=`` on ``ModelRouter.open``, with optional
-  degraded fallbacks), and a deterministic fault-injection harness
-  (:class:`FaultPlan` / :class:`ChaosPredictor`) that fails flushes on
-  a seeded schedule so recovery is reproducible run to run.
+* **Typed errors** (:mod:`repro.serving.errors`) — every request
+  resolves with an answer or with one of :class:`OverloadError`,
+  :class:`DeadlineExceededError`, :class:`SchedulerClosedError` or
+  :class:`InvalidRequestError`. Predictors check each flush row by
+  row: a malformed request fails alone, and the rest of its flush is
+  answered.
 
 All serving timestamps come from one :class:`Clock`
 (:data:`MONOTONIC`); tests swap in a :class:`ManualClock`.
@@ -67,23 +63,13 @@ from repro.serving.api import (
     ServingStats,
 )
 from repro.serving.cache import CacheStats, MemoryCache
-from repro.serving.chaos import (
-    FAULT_KINDS,
-    ChaosPredictor,
-    FaultPlan,
-    InjectedFaultError,
-)
 from repro.serving.clock import MONOTONIC, Clock, ManualClock
 from repro.serving.errors import (
-    TRANSIENT_ERRORS,
     DeadlineExceededError,
+    InvalidRequestError,
     OverloadError,
-    PayloadCorruptionError,
-    RouteUnavailableError,
     SchedulerClosedError,
     ServingError,
-    WorkerCrashError,
-    is_transient,
 )
 from repro.serving.frontend import AsyncFrontend
 from repro.serving.predictor import (
@@ -92,7 +78,6 @@ from repro.serving.predictor import (
     SoftwarePredictor,
     open_predictor,
 )
-from repro.serving.resilience import BREAKER_STATES, CircuitBreaker, RetryPolicy
 from repro.serving.router import ModelRouter
 from repro.serving.scheduler import (
     OVERLOAD_POLICIES,
@@ -103,27 +88,17 @@ from repro.serving.scheduler import (
 __all__ = [
     "AsyncFrontend",
     "BatchScheduler",
-    "BREAKER_STATES",
     "CacheStats",
-    "ChaosPredictor",
-    "CircuitBreaker",
     "Clock",
     "DeadlineExceededError",
-    "FAULT_KINDS",
-    "FaultPlan",
     "FlushCostModel",
-    "InjectedFaultError",
+    "InvalidRequestError",
     "ManualClock",
     "MONOTONIC",
     "OVERLOAD_POLICIES",
     "OverloadError",
-    "PayloadCorruptionError",
-    "RetryPolicy",
-    "RouteUnavailableError",
     "SchedulerClosedError",
     "ServingError",
-    "TRANSIENT_ERRORS",
-    "WorkerCrashError",
     "DEVICES",
     "HardwarePredictor",
     "MemoryCache",
@@ -133,6 +108,5 @@ __all__ = [
     "QueryResponse",
     "ServingStats",
     "SoftwarePredictor",
-    "is_transient",
     "open_predictor",
 ]

@@ -17,12 +17,17 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-# The full failure taxonomy lives in repro.serving.errors; these two
-# predate it and are re-exported here so existing imports keep working.
-from repro.serving.errors import DeadlineExceededError, OverloadError
+# Every serving error lives in repro.serving.errors; the ones a
+# ``predict_batch`` or scheduler caller meets are re-exported here.
+from repro.serving.errors import (
+    DeadlineExceededError,
+    InvalidRequestError,
+    OverloadError,
+)
 
 __all__ = [
     "DeadlineExceededError",
+    "InvalidRequestError",
     "OverloadError",
     "Predictor",
     "QueryRequest",
@@ -105,20 +110,23 @@ class Predictor(Protocol):
     Implementations are device-shaped wrappers created by
     :func:`repro.serving.open_predictor`; ``predict_batch`` must accept
     requests with heterogeneous story slot counts (they are padded to a
-    common shape internally).
+    common shape internally). It answers row by row: a request the
+    model cannot answer gets an
+    :class:`~repro.serving.errors.InvalidRequestError` in its slot of
+    the returned list, which ``predict`` raises and the
+    :class:`~repro.serving.BatchScheduler` sets on that request's
+    future alone.
 
-    The :class:`~repro.serving.BatchScheduler` also calls two optional
-    hooks after each flush when a predictor has them:
-    ``cache_counters() -> (hits, misses, evictions) | None`` (mirrored
-    into :class:`ServingStats`) and ``record_failure(requests, error)``
-    (the router feeds its per-route circuit breakers from it).
+    After each flush the scheduler also calls one optional hook when a
+    predictor has it: ``cache_counters() -> (hits, misses, evictions) |
+    None``, mirrored into :class:`ServingStats`.
     """
 
     def predict(self, request: QueryRequest) -> QueryResponse: ...
 
     def predict_batch(
         self, requests: Sequence[QueryRequest]
-    ) -> list[QueryResponse]: ...
+    ) -> list[QueryResponse | InvalidRequestError]: ...
 
 
 class _Reservoir:
@@ -202,15 +210,9 @@ class ServingStats:
     ``_service`` reservoir (``p95_service_s``), the base of the
     deadline thread's flush-cost prediction.
 
-    The resilience layer adds five more exact counters: ``retries``
-    (flush replays under the retry policy), ``recovered`` (requests
-    answered successfully after at least one replay),
-    ``breaker_opens`` (circuit-breaker transitions into the open
-    state), ``degraded`` (requests served by a route's fallback while
-    its breaker was open), and ``safety_net_wakeups``
-    (async-frontend admission waits resolved by the lost-wakeup timer
-    rather than a room callback — should stay ~0; growth means wakeups
-    are being lost).
+    ``safety_net_wakeups`` counts async-frontend admission waits
+    resolved by the lost-wakeup timer rather than a room callback — it
+    should stay ~0; growth means wakeups are being lost.
     """
 
     RESERVOIR_CAPACITY = 4096
@@ -224,10 +226,9 @@ class ServingStats:
     expired: int = 0
     deadline_met: int = 0
     deadline_missed: int = 0
+    # Always 0 (nothing replays a flush): perfbench/run.py reads it for
+    # ``scheduler.retries``, which CI's perfbench-traced-smoke job runs.
     retries: int = 0
-    recovered: int = 0
-    breaker_opens: int = 0
-    degraded: int = 0
     safety_net_wakeups: int = 0
     _batch_sizes: _Reservoir = field(
         default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
@@ -266,22 +267,6 @@ class ServingStats:
         """Count completed deadline-carrying requests by attainment."""
         self.deadline_met += met
         self.deadline_missed += missed
-
-    def record_retry(self, n: int = 1) -> None:
-        """Count flush replays under the retry policy."""
-        self.retries += n
-
-    def record_recovered(self, n: int = 1) -> None:
-        """Count requests answered after at least one replay."""
-        self.recovered += n
-
-    def record_breaker_open(self, n: int = 1) -> None:
-        """Count circuit-breaker transitions into the open state."""
-        self.breaker_opens += n
-
-    def record_degraded(self, n: int = 1) -> None:
-        """Count requests a route's degraded fallback served."""
-        self.degraded += n
 
     def record_safety_net(self, n: int = 1) -> None:
         """Count admission waits the lost-wakeup safety net resolved."""

@@ -36,16 +36,6 @@ class Clock:
     def now(self) -> float:
         return time.perf_counter()
 
-    def sleep(self, seconds: float) -> None:
-        """Pause the calling thread (retry backoff, chaos delays).
-
-        On the real clock this is :func:`time.sleep`;
-        :class:`ManualClock` advances instantly instead, so
-        deterministic tests never wait wall time.
-        """
-        if seconds > 0:
-            time.sleep(seconds)
-
     def deadline_at(
         self, timeout_s: float | None, start: float | None = None
     ) -> float | None:
@@ -77,11 +67,6 @@ class ManualClock(Clock):
 
     def now(self) -> float:
         return self._now
-
-    def sleep(self, seconds: float) -> None:
-        """Advance manual time instead of blocking the thread."""
-        if seconds > 0:
-            self.advance(seconds)
 
     def advance(self, seconds: float) -> None:
         if seconds < 0:

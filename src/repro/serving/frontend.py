@@ -224,7 +224,7 @@ class AsyncFrontend:
         """Build router + scheduler + frontend from an artifact directory.
 
         Accepts every :meth:`ModelRouter.open` keyword (``mips_backend``,
-        ``max_batch``, ``retry_policy``, ...). Forces
+        ``max_batch``, ``cache_entries``, ...). Forces
         ``inline_flush=False`` so flush math never runs on the event
         loop's thread — with ``start_worker=False`` you must call
         ``backend.flush()`` (from a worker thread) yourself.

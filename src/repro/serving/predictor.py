@@ -18,10 +18,17 @@ split behind one object::
 registered MIPS backend; ``device="hw"`` serves through the cycle-level
 FPGA co-simulation (same request/response types, orders of magnitude
 slower — it is a simulator).
+
+Every device checks each flush once, row by row, before it runs: a
+request its model cannot answer gets an
+:class:`~repro.serving.errors.InvalidRequestError` in its slot of the
+``predict_batch`` result (``predict`` raises it), and the other rows
+are answered as if it had never been in the flush.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -35,21 +42,20 @@ from repro.hw.config import HwConfig
 from repro.mann.batch import BatchInferenceEngine, EngineStack, infer_story_lengths
 from repro.serving.api import QueryRequest, QueryResponse
 from repro.serving.cache import MemoryCache
+from repro.serving.errors import InvalidRequestError
 
 DEVICES = ("sw", "hw")
 
 
 def _stack_requests(
-    requests: Sequence[QueryRequest], memory_size: int | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad heterogeneous requests into (stories, questions, lengths).
+    requests: Sequence[QueryRequest],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pad heterogeneous requests into (stories, questions, slots, pinned).
 
     Stories are padded to the widest slot/word count of the batch
-    (zeros are semantically inert everywhere in the model); lengths use
-    the request's ``n_sentences`` when pinned, else the engines' usual
-    last-non-pad inference. ``memory_size`` is the model's memory, or
-    one per request when the rows run on different models; a request's
-    own story must fit it.
+    (zeros are semantically inert everywhere in the model). ``slots``
+    holds each request's own story length and ``pinned`` its
+    ``n_sentences`` as a float, NaN where the engines infer it.
     """
     if not requests:
         raise ValueError("need at least one request")
@@ -78,31 +84,104 @@ def _stack_requests(
             s, q = request.story, request.question
             stories[i, : s.shape[0], : s.shape[1]] = s
             questions[i, : q.shape[0]] = q
-    too_long = slots > memory_size
-    if too_long.any():
-        i = int(np.argmax(too_long))
-        raise ValueError(
-            f"request story has {slots[i]} slots, model supports "
-            f"{np.broadcast_to(memory_size, (batch,))[i]}"
-        )
-    pinned = np.array(
-        [-1 if r.n_sentences is None else r.n_sentences for r in requests]
-    )  # -1 = infer
-    # Validate against each request's OWN story, not the padded batch
-    # width — acceptance must not depend on co-batching.
-    bad = (pinned != -1) & ((pinned < 1) | (pinned > slots))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"n_sentences={pinned[i]} outside [1, {slots[i]}] for a "
-            f"{slots[i]}-slot story"
-        )
-    if (pinned > 0).all():
-        return stories, questions, pinned
+    # numpy turns None into NaN in a float array.
+    pinned = np.array([r.n_sentences for r in requests], dtype=np.float64)
+    return stories, questions, slots, pinned
+
+
+def _invalid_requests(
+    requests, stories, questions, slots, pinned, memory_size, vocab_size
+) -> dict[int, InvalidRequestError]:
+    """The rows of a stacked flush their model cannot answer, each with
+    an :class:`InvalidRequestError` naming why (empty when all are valid).
+
+    One vectorised pass checks every row against its own story, memory
+    size (one per row when the rows run on different models) and
+    vocabulary size: a word outside ``[0, vocab_size)``, a story with no
+    slots or more than the memory holds, or ``n_sentences`` outside
+    ``[1, slots]``. Acceptance therefore never depends on co-batching.
+    """
+    # As unsigned, a negative index exceeds any vocabulary size, so one
+    # maximum per row bounds both ends. Pad words (0) are always valid.
+    story_words = (
+        stories.reshape(len(stories), -1).view(np.uint64).max(axis=1, initial=0)
+        >= vocab_size
+    )
+    question_words = questions.view(np.uint64).max(axis=1, initial=0) >= vocab_size
+    bad_slots = (slots < 1) | (slots > memory_size)
+    bad_pinned = (pinned < 1) | (pinned > slots)  # NaN (inferred) passes
+    bad = story_words | question_words | bad_slots | bad_pinned
+    if not bad.any():
+        return {}
+    memory_size = np.broadcast_to(memory_size, bad.shape)
+    invalid = {}
+    for i in np.flatnonzero(bad).tolist():
+        if story_words[i] or question_words[i]:
+            where = "story" if story_words[i] else "question"
+            reason = f"a {where} word index is outside [0, {vocab_size})"
+        elif bad_slots[i]:
+            reason = (
+                f"story has {slots[i]} slots, model supports 1 to "
+                f"{memory_size[i]}"
+            )
+        else:
+            reason = (
+                f"n_sentences={requests[i].n_sentences} outside "
+                f"[1, {slots[i]}] for a {slots[i]}-slot story"
+            )
+        invalid[i] = InvalidRequestError(reason)
+    return invalid
+
+
+def _lengths(stories: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """Each row's story length: its ``n_sentences`` when pinned, else
+    the engines' usual last-non-pad inference."""
+    inferred = np.isnan(pinned)
+    if not inferred.any():
+        return pinned.astype(np.int64)
     # Padding slots are all-zero, so inferring on the padded batch
     # equals inferring on each request's own story.
-    lengths = np.where(pinned > 0, pinned, infer_story_lengths(stories))
-    return stories, questions, lengths
+    return np.where(inferred, infer_story_lengths(stories), pinned).astype(np.int64)
+
+
+def _predict_valid(requests, memory_size, vocab_size, answer) -> list:
+    """One predictor call: answer the valid requests, reject the rest.
+
+    ``answer(valid, rows, stories, questions, lengths)`` answers the
+    valid requests, ``rows`` indexing them in ``requests``. Each invalid
+    request (see :func:`_invalid_requests`) gets its
+    :class:`InvalidRequestError` in its slot of the returned list. The
+    valid ones are stacked again on their own, so they get exactly the
+    arrays, and the answers, of a flush that never held an invalid one.
+    """
+    stories, questions, slots, pinned = _stack_requests(requests)
+    invalid = _invalid_requests(
+        requests, stories, questions, slots, pinned, memory_size, vocab_size
+    )
+    if not invalid:
+        return answer(
+            requests, slice(None), stories, questions, _lengths(stories, pinned)
+        )
+    rows = np.array([i for i in range(len(requests)) if i not in invalid])
+    answers = iter(())
+    if rows.size:
+        valid = [requests[i] for i in rows]
+        stories, questions, _, pinned = _stack_requests(valid)
+        answers = iter(
+            answer(valid, rows, stories, questions, _lengths(stories, pinned))
+        )
+    return [
+        invalid[i] if i in invalid else next(answers) for i in range(len(requests))
+    ]
+
+
+def first_answer(answers: list) -> QueryResponse:
+    """``predict``'s result from a one-request ``predict_batch``: the
+    response, or its :class:`InvalidRequestError` raised."""
+    (answer,) = answers
+    if isinstance(answer, InvalidRequestError):
+        raise answer
+    return answer
 
 
 class SoftwarePredictor:
@@ -132,7 +211,7 @@ class SoftwarePredictor:
         self.cache = engine.memory_cache
 
     def predict(self, request: QueryRequest) -> QueryResponse:
-        return self.predict_batch([request])[0]
+        return first_answer(self.predict_batch([request]))
 
     def _responses(
         self, requests, labels, logits, comparisons, early_exits
@@ -161,10 +240,13 @@ class SoftwarePredictor:
 
     def predict_batch(
         self, requests: Sequence[QueryRequest]
-    ) -> list[QueryResponse]:
-        stories, questions, lengths = _stack_requests(
-            requests, self.engine.config.memory_size
+    ) -> list[QueryResponse | InvalidRequestError]:
+        config = self.engine.config
+        return _predict_valid(
+            requests, config.memory_size, config.vocab_size, self._search
         )
+
+    def _search(self, requests, rows, stories, questions, lengths):
         results = self.engine.search(stories, questions, lengths)
         return self._responses(
             requests,
@@ -188,7 +270,8 @@ class PredictorStack:
     engines. :meth:`predict_groups` stacks the requests of several
     routes, runs one forward pass and output search, and decodes each
     route's rows with that route's own decoder: every response equals
-    the one the route's own ``predict_batch`` would give, bit for bit.
+    the one the route's own ``predict_batch`` would give, bit for bit,
+    invalid requests included.
     """
 
     def __init__(self, predictors: Sequence[SoftwarePredictor]):
@@ -197,44 +280,52 @@ class PredictorStack:
         self._memory_sizes = np.array(
             [p.engine.config.memory_size for p in self.predictors]
         )
+        # The stack key holds the vocabulary size: every member shares it.
+        self._vocab_size = self.predictors[0].engine.config.vocab_size
 
     @staticmethod
     def key(predictor) -> tuple | None:
         """Predictors with equal keys can stack. None — the hw device,
-        wrapped or custom predictors, story-cached engines, other
-        backends — keeps the predictor's own ``predict_batch``."""
+        custom predictors, story-cached engines, other backends — keeps
+        the predictor's own ``predict_batch``."""
         if type(predictor) is not SoftwarePredictor:
             return None
         return EngineStack.key(predictor.engine)
 
     def predict_groups(
         self, groups: Sequence[tuple[int, Sequence[QueryRequest]]]
-    ) -> list[list[QueryResponse]]:
+    ) -> list[list[QueryResponse | InvalidRequestError]]:
         """Answer ``(member, requests)`` groups, ``member`` indexing
         :attr:`predictors`, in one engine call; one response list per
         group."""
-        members = [member for member, _ in groups]
         sizes = [len(requests) for _, requests in groups]
         requests = [r for _, group in groups for r in group]
-        route = np.repeat(members, sizes)
-        stories, questions, lengths = _stack_requests(
-            requests, self._memory_sizes[route]
-        )
-        result = self.engine.search(stories, questions, lengths, route)
-        answered, start = [], 0
-        for member, group in groups:
-            rows = slice(start, start + len(group))
-            start = rows.stop
-            answered.append(
-                self.predictors[member]._responses(
-                    group,
-                    result.labels[rows],
-                    result.logits[rows],
-                    result.comparisons[rows],
-                    result.early_exits[rows],
-                )
+        route = np.repeat([member for member, _ in groups], sizes)
+        answers = iter(
+            _predict_valid(
+                requests,
+                self._memory_sizes[route],
+                self._vocab_size,
+                lambda valid, rows, *arrays: self._search(valid, route[rows], *arrays),
             )
-        return answered
+        )
+        return [list(islice(answers, size)) for size in sizes]
+
+    def _search(self, requests, route, stories, questions, lengths):
+        """One engine call; each run of rows on one member decodes with
+        that member's own decoder."""
+        result = self.engine.search(stories, questions, lengths, route)
+        cuts = (np.flatnonzero(route[1:] != route[:-1]) + 1).tolist()
+        answers = []
+        for lo, hi in zip([0, *cuts], [*cuts, len(route)]):
+            answers += self.predictors[route[lo]]._responses(
+                requests[lo:hi],
+                result.labels[lo:hi],
+                result.logits[lo:hi],
+                result.comparisons[lo:hi],
+                result.early_exits[lo:hi],
+            )
+        return answers
 
 
 class HardwarePredictor:
@@ -260,13 +351,17 @@ class HardwarePredictor:
         self.task_id = task_id
 
     def predict(self, request: QueryRequest) -> QueryResponse:
-        return self.predict_batch([request])[0]
+        return first_answer(self.predict_batch([request]))
 
     def predict_batch(
         self, requests: Sequence[QueryRequest]
-    ) -> list[QueryResponse]:
-        memory_size = self.accelerator.weights.config.memory_size
-        stories, questions, lengths = _stack_requests(requests, memory_size)
+    ) -> list[QueryResponse | InvalidRequestError]:
+        config = self.accelerator.weights.config
+        return _predict_valid(
+            requests, config.memory_size, config.vocab_size, self._run
+        )
+
+    def _run(self, requests, rows, stories, questions, lengths):
         batch = EncodedBatch(
             stories=stories,
             questions=questions,

@@ -18,30 +18,19 @@ weight dtypes and exact or threshold backend, and no story cache — and
 a mixed-task flush answers all of a group's routes with one engine
 call (:class:`~repro.mann.batch.EngineStack`), bit for bit as each
 route's own ``predict_batch``. Every other route keeps one
-``predict_batch`` per flush: the hw device, wrapped (chaos) or custom
-predictors, story-cached routes, other backends, degraded fallbacks,
-and a route alone in its group or in the flush. Each threshold
-backend's ``theta`` is snapshotted when the router opens.
+``predict_batch`` per flush: the hw device, custom predictors,
+story-cached routes, other backends, and a route alone in its group or
+in the flush. Each threshold backend's ``theta`` is snapshotted when
+the router opens.
 
 Per-route traffic is accounted in ``router.route_stats[task]`` — one
 flush per route present, stacked or not, counted only once every call
 of the flush has returned; scheduler-level flush statistics stay in
-``router.stats``. A flush is one unit: when any of its calls raises,
-every request in it fails and every route present is blamed.
-
-**Per-route circuit breaking** (``breaker_threshold=N``): a route that
-fails ``N`` consecutive flushes is isolated — its
-:class:`~repro.serving.resilience.CircuitBreaker` opens, and requests
-for it fail fast with
-:class:`~repro.serving.errors.RouteUnavailableError` (checked at
-submission, before a doomed request can occupy queue room) instead of
-burning shared scheduler capacity on a model that cannot answer. After
-``breaker_reset_s`` the breaker half-opens and probe flushes test the
-route; one success closes it. A route with a configured *fallback*
-predictor (``fallbacks=`` / ``ModelRouter.open(breaker_fallback=True)``)
-keeps answering while open — degraded (cache-bypassing) but live —
-with ``degraded`` counted in the stats. Healthy routes are untouched
-either way: breaker state is strictly per route.
+``router.stats``. Each route's predictor checks its own rows: a
+malformed request resolves with
+:class:`~repro.serving.errors.InvalidRequestError` and every other
+request of the flush is answered. A route call that raises anyway is a
+bug, and fails every request of the flush.
 """
 
 from __future__ import annotations
@@ -49,39 +38,19 @@ from __future__ import annotations
 import threading
 from typing import Mapping, Sequence
 
-from repro.serving.api import (
-    DeadlineExceededError,
-    OverloadError,
-    Predictor,
-    QueryRequest,
-    QueryResponse,
-    ServingStats,
-)
-from repro.serving.clock import MONOTONIC
-from repro.serving.errors import RouteUnavailableError, SchedulerClosedError
-from repro.serving.predictor import PredictorStack
-from repro.serving.resilience import CircuitBreaker
+from repro.serving.api import Predictor, QueryRequest, QueryResponse, ServingStats
+from repro.serving.errors import InvalidRequestError
+from repro.serving.predictor import PredictorStack, first_answer
 from repro.serving.scheduler import BatchScheduler
-
-#: Failures that say nothing about the *route*'s health: admission and
-#: lifecycle outcomes must not trip a circuit breaker.
-_BREAKER_EXEMPT = (
-    RouteUnavailableError,
-    SchedulerClosedError,
-    OverloadError,
-    DeadlineExceededError,
-)
 
 
 class _RoutingPredictor:
     """Predictor facade dispatching mixed-task batches to their routes."""
 
-    def __init__(self, routes, route_stats, resolve, breakers, fallbacks):
+    def __init__(self, routes, route_stats, resolve):
         self._routes = routes
         self._route_stats = route_stats
         self._resolve = resolve
-        self._breakers = breakers
-        self._fallbacks = fallbacks
         #: task -> (PredictorStack, member index) for every route that
         #: shares its stack key with another route (see predict_batch).
         self._stacks: dict = {}
@@ -96,43 +65,6 @@ class _RoutingPredictor:
                 for member, task in enumerate(tasks):
                     self._stacks[task] = (stack, member)
         self._stats_lock = threading.Lock()
-        #: The shared scheduler, set by the router once it exists
-        #: (degraded counts mirror into its stats).
-        self._scheduler = None
-
-    def _pick(self, task):
-        """The predictor serving ``task`` right now: ``(predictor,
-        primary)``. Consults the breaker (consuming a half-open probe
-        slot when applicable); an open breaker diverts to the route's
-        fallback or raises
-        :class:`~repro.serving.errors.RouteUnavailableError`."""
-        breaker = self._breakers.get(task)
-        if breaker is None or breaker.allow():
-            return self._routes[task], True
-        fallback = self._fallbacks.get(task)
-        if fallback is not None:
-            return fallback, False
-        raise RouteUnavailableError(
-            f"route {task!r} circuit breaker is {breaker.state} and no "
-            "fallback is configured; retry after the reset timeout"
-        )
-
-    def _note_degraded(self, task, n: int) -> None:
-        with self._stats_lock:
-            self._route_stats[task].record_degraded(n)
-        if self._scheduler is not None:
-            self._scheduler.note_degraded(n)
-
-    def record_failure(self, requests: Sequence[QueryRequest], error) -> None:
-        """Scheduler failure hook: a failed flush blames every route
-        present (it failed for all of them). Admission/lifecycle errors
-        are exempt — they say nothing about route health."""
-        if isinstance(error, _BREAKER_EXEMPT):
-            return
-        for task in {self._resolve(request) for request in requests}:
-            breaker = self._breakers.get(task)
-            if breaker is not None:
-                breaker.record_failure()
 
     def _grouped(self, requests: Sequence[QueryRequest]):
         """Indices grouped by resolved task, in submission order."""
@@ -142,36 +74,35 @@ class _RoutingPredictor:
         return groups
 
     def predict(self, request: QueryRequest) -> QueryResponse:
-        return self.predict_batch([request])[0]
+        return first_answer(self.predict_batch([request]))
 
     def predict_batch(
         self, requests: Sequence[QueryRequest]
-    ) -> list[QueryResponse]:
+    ) -> list[QueryResponse | InvalidRequestError]:
         """Answer a mixed-task batch.
 
-        Primary routes that share a :class:`PredictorStack` answer
-        together in one engine call; every other route — one alone in
-        its stack, a fallback, or a predictor that cannot stack — gets
-        its own ``predict_batch``. Either way the answers are each
-        route's own, bit for bit, and per-route accounting counts one
-        flush per route present — after every call has returned, so a
-        route whose call ran before a failing one counts nothing.
+        Routes that share a :class:`PredictorStack` answer together in
+        one engine call; every other route — one alone in its stack, or
+        a predictor that cannot stack — gets its own ``predict_batch``.
+        Either way the answers are each route's own, bit for bit, and
+        per-route accounting counts one flush per route present — after
+        every call has returned, so a route whose call ran before a
+        failing one counts nothing.
         """
-        responses: list[QueryResponse | None] = [None] * len(requests)
+        responses: list = [None] * len(requests)
         own_calls = []
         stacked: dict = {}
         for task, indices in self._grouped(requests).items():
-            predictor, primary = self._pick(task)
-            if primary and task in self._stacks:
+            if task in self._stacks:
                 stack, member = self._stacks[task]
                 stacked.setdefault(stack, []).append((task, member, indices))
             else:
-                own_calls.append((task, indices, predictor, primary))
+                own_calls.append((task, indices))
         answered = []
         for stack, groups in stacked.items():
             if len(groups) == 1:
                 task, _, indices = groups[0]
-                own_calls.append((task, indices, self._routes[task], True))
+                own_calls.append((task, indices))
                 continue
             results = stack.predict_groups(
                 [
@@ -180,22 +111,16 @@ class _RoutingPredictor:
                 ]
             )
             for (task, _, indices), group in zip(groups, results):
-                answered.append((task, indices, group, True))
-        for task, indices, predictor, primary in own_calls:
-            group = predictor.predict_batch([requests[i] for i in indices])
-            answered.append((task, indices, group, primary))
-        for task, indices, group, primary in answered:
-            self._answered(task, indices, group, responses, primary)
+                answered.append((task, indices, group))
+        for task, indices in own_calls:
+            group = self._routes[task].predict_batch([requests[i] for i in indices])
+            answered.append((task, indices, group))
+        for task, indices, group in answered:
+            self._answered(task, indices, group, responses)
         return responses
 
-    def _answered(self, task, indices, answered, responses, primary) -> None:
+    def _answered(self, task, indices, answered, responses) -> None:
         """Account one route's answered rows and slot them into place."""
-        breaker = self._breakers.get(task)
-        if primary:
-            if breaker is not None:
-                breaker.record_success()
-        else:
-            self._note_degraded(task, len(indices))
         with self._stats_lock:
             self._route_stats[task].record_flush(len(indices))
             self._sync_route_cache(task)
@@ -245,51 +170,20 @@ class ModelRouter:
         max_batch: int = 32,
         max_wait_s: float = 0.005,
         start_worker: bool = True,
-        breaker_threshold: int | None = None,
-        breaker_reset_s: float = 0.5,
-        breaker_probes: int = 1,
-        fallbacks: Mapping[int | str, Predictor] | None = None,
         **scheduler_kwargs,
     ):
         if not predictors:
             raise ValueError("need at least one route")
         self._routes = dict(predictors)
-        self._fallbacks = dict(fallbacks) if fallbacks else {}
-        unknown = set(self._fallbacks) - set(self._routes)
-        if unknown:
-            raise KeyError(
-                f"fallbacks for unknown routes {sorted(unknown, key=repr)}"
-            )
         self.route_stats: dict = {
             task: ServingStats() for task in self._routes
         }
-        # Breakers share the scheduler's clock (ManualClock tests drive
-        # reset timeouts by hand); on_open fires through the router so
-        # both the per-route and the scheduler stats count it.
-        clock = scheduler_kwargs.get("clock", MONOTONIC)
-        self.breakers: dict = {}
-        if breaker_threshold is not None:
-            self.breakers = {
-                task: CircuitBreaker(
-                    failure_threshold=breaker_threshold,
-                    reset_timeout_s=breaker_reset_s,
-                    half_open_probes=breaker_probes,
-                    clock=clock,
-                    on_open=(lambda task=task: self._note_breaker_open(task)),
-                )
-                for task in self._routes
-            }
         self._dispatch = _RoutingPredictor(
-            self._routes,
-            self.route_stats,
-            self.resolve_task,
-            self.breakers,
-            self._fallbacks,
+            self._routes, self.route_stats, self.resolve_task
         )
-        # scheduler_kwargs forwards the admission-control / SLO /
-        # resilience knobs (queue_cap, overload_policy, inline_flush,
-        # cost_model, clock, deadline_margin_s, retry_policy) without
-        # re-declaring them.
+        # scheduler_kwargs forwards the admission-control / SLO knobs
+        # (queue_cap, overload_policy, inline_flush, cost_model, clock,
+        # deadline_margin_s) without re-declaring them.
         self.scheduler = BatchScheduler(
             self._dispatch,
             max_batch=max_batch,
@@ -297,14 +191,6 @@ class ModelRouter:
             start_worker=start_worker,
             **scheduler_kwargs,
         )
-        self._dispatch._scheduler = self.scheduler
-
-    def _note_breaker_open(self, task) -> None:
-        """CircuitBreaker ``on_open`` hook: count the transition in the
-        route's stats and the shared scheduler's."""
-        with self._dispatch._stats_lock:
-            self.route_stats[task].record_breaker_open()
-        self.scheduler.note_breaker_open()
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -323,12 +209,6 @@ class ModelRouter:
         queue_cap: int | None = None,
         overload_policy: str = "block",
         inline_flush: bool = True,
-        retry_policy=None,
-        breaker_threshold: int | None = None,
-        breaker_reset_s: float = 0.5,
-        breaker_probes: int = 1,
-        breaker_fallback: bool = False,
-        chaos_plan=None,
         **params,
     ) -> "ModelRouter":
         """One route per task of a saved artifact directory or suite.
@@ -345,18 +225,6 @@ class ModelRouter:
         ``queue_cap``/``overload_policy``/``inline_flush`` are the
         shared scheduler's admission-control knobs (see
         :class:`~repro.serving.BatchScheduler`).
-
-        Resilience knobs: ``retry_policy`` forwards to the shared
-        scheduler; ``breaker_threshold``/``breaker_reset_s``/
-        ``breaker_probes`` arm one
-        :class:`~repro.serving.resilience.CircuitBreaker` per route.
-        ``breaker_fallback=True`` additionally opens a degraded twin of
-        every route — same model and backend, but cache-bypassing —
-        that keeps answering while the route's breaker is open. ``chaos_plan``
-        (a :class:`~repro.serving.chaos.FaultPlan`) wraps every primary
-        route in a :class:`~repro.serving.chaos.ChaosPredictor` with a
-        per-route forked seed — the deterministic fault-injection mode
-        the chaos soaks use; fallbacks stay fault-free.
         """
         from pathlib import Path
 
@@ -395,26 +263,6 @@ class ModelRouter:
             )
             for task in tasks
         }
-        if chaos_plan is not None:
-            from repro.serving.chaos import ChaosPredictor
-
-            predictors = {
-                task: ChaosPredictor(predictor, chaos_plan.fork(task))
-                for task, predictor in predictors.items()
-            }
-        fallbacks = None
-        if breaker_fallback:
-            fallbacks = {
-                task: open_predictor(
-                    artifacts,
-                    task,
-                    device=device,
-                    mips_backend=mips_backend,
-                    quantized=quantized,
-                    **params,
-                )
-                for task in tasks
-            }
         return cls(
             predictors,
             max_batch=max_batch,
@@ -423,11 +271,6 @@ class ModelRouter:
             queue_cap=queue_cap,
             overload_policy=overload_policy,
             inline_flush=inline_flush,
-            retry_policy=retry_policy,
-            breaker_threshold=breaker_threshold,
-            breaker_reset_s=breaker_reset_s,
-            breaker_probes=breaker_probes,
-            fallbacks=fallbacks,
         )
 
     # -- routing ----------------------------------------------------------
@@ -462,28 +305,10 @@ class ModelRouter:
             raise KeyError(f"unknown task {task!r}; routes: {self.tasks}")
         return self._routes[task]
 
-    def _check_route_available(self, task) -> None:
-        """Admission fast-fail: a request for an open-breaker route with
-        no fallback is doomed — raise
-        :class:`~repro.serving.errors.RouteUnavailableError` *now*
-        instead of letting it occupy queue room and poison a flush.
-        Read-only (:meth:`CircuitBreaker.would_allow`): half-open probe
-        slots are consumed at flush time, not here."""
-        breaker = self.breakers.get(task)
-        if (
-            breaker is not None
-            and task not in self._fallbacks
-            and not breaker.would_allow()
-        ):
-            raise RouteUnavailableError(
-                f"route {task!r} circuit breaker is {breaker.state}; "
-                "retry after the reset timeout"
-            )
-
     def submit(self, request: QueryRequest):
-        """Enqueue one request on the shared scheduler (validated now,
-        including the route's breaker state)."""
-        self._check_route_available(self.resolve_task(request))
+        """Enqueue one request on the shared scheduler (its task is
+        validated now)."""
+        self.resolve_task(request)
         return self.scheduler.submit(request)
 
     def submit_nowait(self, request: QueryRequest):
@@ -491,7 +316,7 @@ class ModelRouter:
         :class:`~repro.serving.api.OverloadError` instead of blocking
         (the :class:`~repro.serving.frontend.AsyncFrontend` admission
         path)."""
-        self._check_route_available(self.resolve_task(request))
+        self.resolve_task(request)
         return self.scheduler.submit_nowait(request)
 
     def add_room_callback(self, callback) -> None:
@@ -504,7 +329,7 @@ class ModelRouter:
 
     def predict_batch(
         self, requests: Sequence[QueryRequest]
-    ) -> list[QueryResponse]:
+    ) -> list[QueryResponse | InvalidRequestError]:
         """Answer a mixed-task batch directly (no scheduling)."""
         return self._dispatch.predict_batch(requests)
 

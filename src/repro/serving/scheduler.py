@@ -35,19 +35,13 @@ into one flush when either
   an expired request is also dropped at flush time instead of wasting
   batch capacity on an answer nobody can use.
 
-Every admitted future resolves — with a response, the flush's
-exception, or ``DeadlineExceededError``; a shed submission raises
-before enqueueing. Shed/expired/deadline-attainment counts land in
-``stats`` (``goodput_rate``).
-
-**Fault tolerance.** Predictions are pure functions of the request
-and the frozen weights, which makes replay safe and bit-identical. A
-``retry_policy`` (:class:`~repro.serving.resilience.RetryPolicy`)
-replays a flush whose failure is *transient* per the
-:mod:`repro.serving.errors` taxonomy, with deterministic exponential
-backoff. A failure that survives the retries resolves every future of
-the flush with that error, never strands one. Retries and recoveries
-are counted in ``stats``.
+Every admitted future resolves — with a response, an
+:class:`~repro.serving.errors.InvalidRequestError` the predictor put
+in that request's row (the flush's other rows are answered), or
+``DeadlineExceededError``; a shed submission raises before enqueueing.
+A predictor that raises instead resolves every future of its flush
+with that exception, never strands one. Shed, expired and deadline
+attainment counts land in ``stats`` (``goodput_rate``).
 
 **Execution and ordering.** A flush is one ``predict_batch`` call, run
 inline by the thread that flushes: the submitter that filled the batch,
@@ -84,8 +78,7 @@ from repro.serving.api import (
     ServingStats,
 )
 from repro.serving.clock import MONOTONIC, Clock
-from repro.serving.errors import SchedulerClosedError
-from repro.serving.resilience import RetryPolicy
+from repro.serving.errors import InvalidRequestError, SchedulerClosedError
 
 OVERLOAD_POLICIES = ("block", "shed", "shed-expired")
 
@@ -161,7 +154,6 @@ class BatchScheduler:
         cost_model: FlushCostModel | None = None,
         deadline_margin_s: float = 0.0005,
         clock: Clock = MONOTONIC,
-        retry_policy: RetryPolicy | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -183,7 +175,6 @@ class BatchScheduler:
         self.cost_model = cost_model or FlushCostModel()
         self.deadline_margin_s = float(deadline_margin_s)
         self.clock = clock
-        self.retry_policy = retry_policy
         self.stats = ServingStats()
         self._pending: list[_Pending] = []
         self._cond = threading.Condition()
@@ -492,16 +483,6 @@ class BatchScheduler:
         with self._stats_lock:
             self.stats.record_safety_net()
 
-    def note_breaker_open(self) -> None:
-        """Count one circuit-breaker open transition (router hook)."""
-        with self._stats_lock:
-            self.stats.record_breaker_open()
-
-    def note_degraded(self, n: int = 1) -> None:
-        """Count requests a route's degraded fallback served (router)."""
-        with self._stats_lock:
-            self.stats.record_degraded(n)
-
     def _execute(self, batch: list[_Pending], ticket: int | None) -> None:
         try:
             if self.overload_policy == "shed-expired":
@@ -551,14 +532,22 @@ class BatchScheduler:
             self.stats.set_cache_counters(*counters)
 
     def _resolve_batch(
-        self, batch: list[_Pending], responses: list[QueryResponse]
+        self,
+        batch: list[_Pending],
+        responses: list[QueryResponse | InvalidRequestError],
     ) -> None:
         """Resolve one answered flush: latency + deadline-attainment
-        accounting, then the futures, in submission order."""
+        accounting, then the futures, in submission order. A row the
+        predictor rejected resolves with its
+        :class:`~repro.serving.errors.InvalidRequestError` and, like a
+        failed flush, counts in neither statistic."""
         done = self.clock.now()
-        latencies = [done - pending.submitted_at for pending in batch]
+        latencies = []
         met = missed = 0
-        for pending in batch:
+        for pending, response in zip(batch, responses):
+            if isinstance(response, InvalidRequestError):
+                continue
+            latencies.append(done - pending.submitted_at)
             if pending.deadline_at is not None:
                 if done <= pending.deadline_at:
                     met += 1
@@ -567,7 +556,11 @@ class BatchScheduler:
         with self._stats_lock:
             self.stats.record_latencies(latencies)
             self.stats.record_deadline_outcomes(met, missed)
-        for pending, response, latency in zip(batch, responses, latencies):
+        for pending, response in zip(batch, responses):
+            if isinstance(response, InvalidRequestError):
+                pending.future.set_exception(response)
+                continue
+            latency = done - pending.submitted_at
             if response.latency_s is None:
                 # A fresh response from the predictor: stamp it in place
                 # rather than building it a second time. One the caller
@@ -578,43 +571,13 @@ class BatchScheduler:
             pending.future.set_result(response)
 
     def _run_batch(self, batch: list[_Pending]) -> None:
-        """Answer one flush, resolving its futures in order.
-
-        Transient predictor failures are replayed per ``retry_policy``
-        (predictions are pure, so the replay is bit-identical); the
-        final failure resolves the flush's futures instead of
-        propagating.
-        """
-        retry = self.retry_policy
-        requests = [p.request for p in batch]
-        attempt = 1
-        while True:
-            try:
-                responses = self.predictor.predict_batch(requests)
-            except Exception as error:
-                if retry is not None and retry.should_retry(error, attempt):
-                    with self._stats_lock:
-                        self.stats.record_retry()
-                    self.clock.sleep(retry.backoff_s(attempt))
-                    attempt += 1
-                    continue
-                self._fail_batch(batch, error)
-                return
-            if attempt > 1:
-                with self._stats_lock:
-                    self.stats.record_recovered(len(batch))
-            self._resolve_batch(batch, responses)
+        """Answer one flush, resolving its futures in order. A predictor
+        exception resolves every future of the flush with it instead of
+        propagating."""
+        try:
+            responses = self.predictor.predict_batch([p.request for p in batch])
+        except Exception as error:
+            for pending in batch:
+                pending.future.set_exception(error)
             return
-
-    def _fail_batch(self, batch: list[_Pending], error: BaseException) -> None:
-        """Resolve one failed flush: tell the predictor (the router's
-        ``record_failure`` hook feeds per-route circuit breakers), then
-        set the error on every future — never stranded."""
-        hook = getattr(self.predictor, "record_failure", None)
-        if hook is not None:
-            try:
-                hook([p.request for p in batch], error)
-            except Exception:
-                pass  # the hook must not strand futures or kill flushes
-        for pending in batch:
-            pending.future.set_exception(error)
+        self._resolve_batch(batch, responses)

@@ -241,6 +241,42 @@ class TestAsyncAdmission:
         assert scheduler.stats.offered == n
 
 
+class TestFrontendSafetyNet:
+    def test_room_retry_validated(self):
+        with pytest.raises(ValueError, match="room_retry_s"):
+            AsyncFrontend(object(), room_retry_s=0.0)
+
+    def test_lost_wakeups_are_counted(self):
+        """Park an admission coroutine at a full queue with a tiny
+        ``room_retry_s``: the safety net must fire (and be counted)
+        while no room wakeup arrives, and the request must still be
+        served once room frees up."""
+        scheduler = BatchScheduler(
+            StubPredictor(), max_batch=2, start_worker=False, queue_cap=1,
+            overload_policy="block",
+        )
+
+        async def run():
+            frontend = AsyncFrontend(
+                scheduler, close_backend=False, room_retry_s=0.005
+            )
+            first = asyncio.ensure_future(frontend.query(_request(0)))
+            await asyncio.sleep(0.01)  # first admitted; the queue is full
+            second = asyncio.ensure_future(frontend.query(_request(1)))
+            # Let the safety net fire a few times with no room wakeup.
+            while scheduler.stats.safety_net_wakeups < 2:
+                await asyncio.sleep(0.005)
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, scheduler.flush)  # frees room
+            assert (await first).label == 0
+            await loop.run_in_executor(None, scheduler.flush)
+            assert (await second).label == 1
+
+        asyncio.run(run())
+        assert scheduler.stats.safety_net_wakeups >= 2
+        scheduler.close()
+
+
 class TestDeadlineAwareFlush:
     """The SLO-aware early flush: deadlines beat max_wait_s."""
 

@@ -8,6 +8,7 @@ from repro.hw.config import HwConfig
 from repro.mips import available_backends
 from repro.serving import (
     HardwarePredictor,
+    InvalidRequestError,
     QueryRequest,
     QueryResponse,
     SoftwarePredictor,
@@ -171,15 +172,19 @@ class TestFactory:
             open_predictor(tiny_suite, 1, device="hw", mips_backend="alsh", n_tables=2)
 
     def test_n_sentences_validated_per_request(self, tiny_suite):
-        """Acceptance must not depend on what a request is batched with."""
+        """Acceptance must not depend on what a request is batched with:
+        the padded batch is wider than the bad story, and the bad row
+        fails alone."""
         predictor = open_predictor(tiny_suite, 1)
         batch = tiny_suite.tasks[1].test_batch
         bad = QueryRequest(batch.stories[0][:3], batch.questions[0], n_sentences=5)
         wide = QueryRequest(batch.stories[1], batch.questions[1])
-        with pytest.raises(ValueError, match="n_sentences"):
+        with pytest.raises(InvalidRequestError, match="n_sentences"):
             predictor.predict(bad)
-        with pytest.raises(ValueError, match="n_sentences"):
-            predictor.predict_batch([bad, wide])  # co-batching must not help
+        error, answer = predictor.predict_batch([bad, wide])  # co-batched
+        assert isinstance(error, InvalidRequestError)
+        assert "n_sentences=5" in str(error)
+        assert answer == predictor.predict(wide)
 
     def test_oversized_story_rejected(self, tiny_suite):
         predictor = open_predictor(tiny_suite, 1)
@@ -187,3 +192,44 @@ class TestFactory:
         request = QueryRequest(np.ones((slots, 3), dtype=np.int64), np.ones(3, dtype=np.int64))
         with pytest.raises(ValueError, match="slots"):
             predictor.predict(request)
+
+
+class TestInvalidRequests:
+    """A request its model cannot answer resolves with
+    InvalidRequestError on both devices, alone and co-batched, and the
+    rest of the batch is answered as if it were not there."""
+
+    @staticmethod
+    def _check(predictor, bad, good, match):
+        with pytest.raises(InvalidRequestError, match=match):
+            predictor.predict(bad)
+        for batch, bad_row in (([bad, good], 0), ([good, bad], 1)):
+            answers = predictor.predict_batch(batch)
+            assert isinstance(answers[bad_row], InvalidRequestError)
+            assert match in str(answers[bad_row])
+            assert answers[1 - bad_row] == predictor.predict(good)
+
+    @pytest.mark.parametrize("device", ["sw", "hw"])
+    @pytest.mark.parametrize("word", [-1, "V"])
+    def test_word_outside_vocabulary(self, tiny_suite, device, word):
+        """``device="hw"`` used to answer word -1 (numpy wrapped it to
+        row V-1) and raise a raw IndexError from the co-sim on word V."""
+        predictor = open_predictor(tiny_suite, 1, device=device)
+        batch = tiny_suite.tasks[1].test_batch
+        vocab = tiny_suite.tasks[1].weights.config.vocab_size
+        story = batch.stories[0].copy()
+        story[0, 0] = vocab if word == "V" else word
+        bad = QueryRequest(story, batch.questions[0])
+        good = QueryRequest(batch.stories[1], batch.questions[1])
+        self._check(predictor, bad, good, "word index")
+
+    @pytest.mark.parametrize("device", ["sw", "hw"])
+    def test_zero_slot_story(self, tiny_suite, device):
+        """A 0-slot story used to fail alone with an untyped ValueError
+        but be answered as an all-pad story when co-batched."""
+        predictor = open_predictor(tiny_suite, 1, device=device)
+        batch = tiny_suite.tasks[1].test_batch
+        words = batch.stories.shape[2]
+        bad = QueryRequest(np.zeros((0, words), dtype=np.int64), batch.questions[0])
+        good = QueryRequest(batch.stories[1], batch.questions[1])
+        self._check(predictor, bad, good, "0 slots")

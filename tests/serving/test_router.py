@@ -6,9 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.suite import BabiSuite, SuiteConfig
-from repro.serving import ModelRouter, QueryRequest, QueryResponse, open_predictor
+from repro.serving import (
+    InvalidRequestError,
+    ModelRouter,
+    QueryRequest,
+    QueryResponse,
+    open_predictor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -158,16 +166,14 @@ class _Fails:
 class TestFailedFlush:
     def test_accounting_does_not_depend_on_route_order(self):
         """A mixed flush whose later route raises fails every request in
-        it, so no route may count it as served or as a breaker success —
-        whichever route the flush happened to run first."""
+        it, so no route may count it as served — whichever route the
+        flush happened to run first."""
         story = np.ones((2, 3), dtype=np.int64)
         question = np.ones(3, dtype=np.int64)
         outcomes = {}
         for order in (("ok", "bad"), ("bad", "ok")):
             router = ModelRouter(
-                {"ok": _Answers(), "bad": _Fails()},
-                breaker_threshold=3,
-                start_worker=False,
+                {"ok": _Answers(), "bad": _Fails()}, start_worker=False
             )
             with router:
                 for _ in range(3):
@@ -181,15 +187,9 @@ class TestFailedFlush:
                 outcomes[order] = (
                     router.route_stats["ok"].requests,
                     router.route_stats["ok"].flushes,
-                    router.breakers["ok"].state,
-                    router.breakers["bad"].state,
+                    router.stats.flushes,
                 )
-        assert outcomes[("ok", "bad")] == outcomes[("bad", "ok")] == (
-            0,
-            0,
-            "open",
-            "open",
-        )
+        assert outcomes[("ok", "bad")] == outcomes[("bad", "ok")] == (0, 0, 3)
 
 
 class TestStackedFlush:
@@ -253,11 +253,13 @@ class TestStackedFlush:
                 assert router.route_stats[task].requests == requests_per_task[task]
                 assert router.route_stats[task].flushes == flushes_per_task[task]
 
-    def test_out_of_vocabulary_word_fails_the_stacked_flush(self, mixed_suite):
-        """A word index outside [0, V) raises IndexError stacked with
-        another route, alone in a flush and on the route's own call: it
-        neither reads another route's embedding rows nor wraps a
-        negative index around to the end of the vocabulary."""
+    def test_out_of_vocabulary_word_fails_only_its_row(self, mixed_suite):
+        """A word index outside [0, V) fails its own row with
+        InvalidRequestError stacked with another route, alone in a flush
+        and on the route's own call: it neither reads another route's
+        embedding rows nor wraps a negative index around to the end of
+        the vocabulary. The stacked good row is still answered, and a
+        direct engine caller still gets the engine's IndexError."""
         good = _request(mixed_suite, 1, 0)
         batch = mixed_suite.tasks[3].test_batch
         vocab = mixed_suite.tasks[3].weights.config.vocab_size
@@ -272,13 +274,20 @@ class TestStackedFlush:
         with ModelRouter.open(
             mixed_suite, mips_backend="threshold", start_worker=False
         ) as router:
+            (expected,) = router.predict_batch([good])
             for request in bad:
+                answer, error = router.predict_batch([good, request])
+                assert self._same(answer, expected)
+                assert isinstance(error, InvalidRequestError)
+                assert "word index" in str(error)
+                with pytest.raises(InvalidRequestError, match="word index"):
+                    router.predict(request)
+                with pytest.raises(InvalidRequestError, match="word index"):
+                    router.predictor(3).predict(request)
                 with pytest.raises(IndexError):
-                    router.predict_batch([good, request])
-                with pytest.raises(IndexError):
-                    router.predict_batch([request])
-                with pytest.raises(IndexError):
-                    router.predictor(3).predict_batch([request])
+                    router.predictor(3).engine.search(
+                        request.story[None], request.question[None], None
+                    )
 
     def test_unstackable_routes_keep_their_own_call(self, mixed_suite):
         """Story-cached routes are not stacked: a mixed flush calls each
@@ -302,3 +311,121 @@ class TestStackedFlush:
             answered = router.predict_batch(requests)
         assert sorted(calls) == [1, 3, 17]
         assert all(self._same(a, b) for a, b in zip(answered, expected))
+
+
+#: Every way a request can fail to fit its model, and a word its
+#: InvalidRequestError message must name.
+MALFORMED = {
+    "story word >= V": "word index",
+    "story word < 0": "word index",
+    "question word": "word index",
+    "no slots": "slots",
+    "more slots than memory": "slots",
+    "n_sentences < 1": "n_sentences",
+    "n_sentences > slots": "n_sentences",
+}
+#: Every task stacked, plus task 1's model behind a story cache.
+ROUTES = (1, 3, 17, "cached")
+
+
+def _model_task(route) -> int:
+    return 1 if route == "cached" else route
+
+
+def _malformed(suite, route, kind, i) -> QueryRequest:
+    """Row ``i`` of the route's test set, broken in the way ``kind``
+    names (``i`` also varies the offending value)."""
+    request = _request(suite, _model_task(route), i, route=route)
+    config = suite.tasks[_model_task(route)].weights.config
+    story, question = request.story.copy(), request.question.copy()
+    n_sentences = request.n_sentences
+    if kind == "story word >= V":
+        story[i % len(story), 0] = config.vocab_size + i % 3
+    elif kind == "story word < 0":
+        story[-1, -1] = -1 - i % 3  # a pad slot counts too
+    elif kind == "question word":
+        question[0] = config.vocab_size if i % 2 else -1
+    elif kind == "no slots":
+        story, n_sentences = story[:0], None
+    elif kind == "more slots than memory":
+        story = np.ones((config.memory_size + 1 + i % 2, story.shape[1]), np.int64)
+        n_sentences = None
+    elif kind == "n_sentences < 1":
+        n_sentences = -(i % 2)
+    else:
+        n_sentences = len(story) + 1 + i % 2
+    return replace(request, story=story, question=question, n_sentences=n_sentences)
+
+
+@pytest.fixture(scope="module")
+def router_pairs(mixed_suite):
+    """Per backend: a router serving mixed flushes and a twin serving the
+    same flushes without their malformed requests."""
+    pairs = {
+        backend: tuple(
+            ModelRouter(
+                {
+                    **{
+                        task: open_predictor(mixed_suite, task, mips_backend=backend)
+                        for task in mixed_suite.task_ids
+                    },
+                    "cached": open_predictor(
+                        mixed_suite, 1, mips_backend=backend, cache_entries=8
+                    ),
+                },
+                max_batch=64,
+                start_worker=False,
+            )
+            for _ in range(2)
+        )
+        for backend in ("exact", "threshold")
+    }
+    yield pairs
+    for routers in pairs.values():
+        for router in routers:
+            router.close()
+
+
+_ROW = st.tuples(
+    st.sampled_from(ROUTES),
+    # None is a well-formed request: about half the rows.
+    st.sampled_from([None] * len(MALFORMED) + list(MALFORMED)),
+    st.integers(min_value=0, max_value=11),
+)
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("backend", ["exact", "threshold"])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(_ROW, min_size=1, max_size=24))
+    def test_bad_rows_fail_alone(self, mixed_suite, router_pairs, backend, rows):
+        """Random mixed flushes over stacked routes and a story-cached
+        route: each malformed request resolves with InvalidRequestError,
+        and each good one is bit-identical to the same flush submitted
+        without the malformed ones."""
+        mixed, reference = router_pairs[backend]
+        requests = [
+            _malformed(mixed_suite, route, kind, i)
+            if kind
+            else _request(mixed_suite, _model_task(route), i, route=route)
+            for route, kind, i in rows
+        ]
+        futures = [mixed.submit(r) for r in requests]
+        mixed.flush()
+        good = [r for r, (_, kind, _) in zip(requests, rows) if kind is None]
+        expected = [reference.submit(r) for r in good]
+        reference.flush()
+        expected = iter([f.result(timeout=10.0) for f in expected])
+        for future, (_, kind, _) in zip(futures, rows):
+            if kind is None:
+                got, want = future.result(timeout=10.0), next(expected)
+                assert (got.label, got.logit.hex(), got.comparisons, got.early_exit) == (
+                    want.label,
+                    want.logit.hex(),
+                    want.comparisons,
+                    want.early_exit,
+                )
+            else:
+                error = future.exception(timeout=10.0)
+                assert isinstance(error, InvalidRequestError), (kind, error)
+                assert MALFORMED[kind] in str(error), (kind, error)

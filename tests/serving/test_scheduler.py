@@ -16,10 +16,12 @@ import pytest
 from repro.serving import (
     BatchScheduler,
     DeadlineExceededError,
+    InvalidRequestError,
     ManualClock,
     OverloadError,
     QueryRequest,
     QueryResponse,
+    SchedulerClosedError,
     open_predictor,
 )
 
@@ -101,6 +103,35 @@ class TestManualMode:
             futures[0].result()
         assert isinstance(futures[1].exception(), RuntimeError)
 
+    def test_rejected_row_fails_only_its_future(self):
+        """An InvalidRequestError in a row of the predictor's answer
+        resolves that row's future alone, and the row counts in neither
+        the latency nor the deadline statistics."""
+        clock = ManualClock()
+
+        class RejectsOdd(StubPredictor):
+            def predict_batch(self, requests):
+                answers = super().predict_batch(requests)
+                return [
+                    InvalidRequestError(f"row {r.request_id}")
+                    if r.request_id % 2
+                    else answer
+                    for r, answer in zip(requests, answers)
+                ]
+
+        scheduler = BatchScheduler(
+            RejectsOdd(), max_batch=8, start_worker=False, clock=clock
+        )
+        futures = [scheduler.submit(_request(i, deadline_s=1.0)) for i in range(4)]
+        scheduler.flush()
+        assert [f.result().label for f in futures[::2]] == [0, 2]
+        for i in (1, 3):
+            with pytest.raises(InvalidRequestError, match=f"row {i}"):
+                futures[i].result()
+        stats = scheduler.stats
+        assert (stats.requests, stats.latency_count) == (4, 2)
+        assert (stats.deadline_met, stats.deadline_missed) == (2, 0)
+
     def test_cancelled_future_skipped_not_fatal(self):
         """A caller-cancelled future must not poison the flush."""
         stub = StubPredictor()
@@ -116,8 +147,10 @@ class TestManualMode:
     def test_submit_after_close_rejected(self):
         scheduler = BatchScheduler(StubPredictor(), start_worker=False)
         scheduler.close()
-        with pytest.raises(RuntimeError, match="closed"):
+        # Typed, and still a RuntimeError for callers that predate it.
+        with pytest.raises(SchedulerClosedError, match="closed"):
             scheduler.submit(_request(0))
+        assert issubclass(SchedulerClosedError, RuntimeError)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -167,6 +200,16 @@ class TestWorker:
         scheduler.close()  # long max_wait: only close() can flush these
         assert [f.result(timeout=1.0).label for f in futures] == list(range(5))
         scheduler.close()  # idempotent
+
+    def test_closed_scheduler_rejects_submits_typed(self):
+        """Once the worker is stopped, both entry points refuse with the
+        typed error instead of queueing a future no flush would reach."""
+        scheduler = BatchScheduler(StubPredictor(), max_batch=4, max_wait_s=0.01)
+        scheduler.close()
+        for submit in (scheduler.submit, scheduler.submit_nowait):
+            with pytest.raises(SchedulerClosedError, match="closed"):
+                submit(_request(0))
+        assert scheduler.stats.requests == 0
 
     def test_stress_concurrent_submitters_with_cancellations(self):
         """The satellite stress contract: many submitters + mixed

@@ -7,8 +7,6 @@ directory through ``--artifacts`` — exercising exactly the
 no-retraining path the serving API exists for.
 """
 
-import re
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -165,20 +163,6 @@ class TestServingCommands:
         assert "scheduler (max_batch=8)" in out
         assert "micro-batching speedup" in out
         assert "per-route requests: task 1: 32" in out
-
-    def test_serve_bench_chaos_with_retries(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "32", "--max-batch", "8",
-                "--chaos-rate", "0.3", "--retry-max", "8",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "chaos rate 0.3" in out
-        # Faults fired and every one was retried to success.
-        assert re.search(r"resilience: 0 failed, [1-9]\d* retried", out)
 
     def test_train_quantize_and_query_quantized(self, tmp_path, capsys):
         directory = str(tmp_path / "qsuite")
