@@ -75,23 +75,13 @@ def _encode_hists(
     out[f"{prefix}_counts"] = counts
 
 
-def _decode_hists(
-    data, prefix: str
-) -> dict[int, LogitHistogram]:
-    hists: dict[int, LogitHistogram] = {}
-    indices = data[f"{prefix}_indices"]
+def _decode_hists(data, prefix: str) -> dict[int, LogitHistogram]:
     edges = data[f"{prefix}_edges"]
     counts = data[f"{prefix}_counts"]
-    for row, index in enumerate(indices):
-        hist = LogitHistogram(
-            float(edges[row, 0]), float(edges[row, -1]), counts.shape[1]
-        )
-        # Restore the exact fitted state: linspace re-derivation could
-        # differ in the last ulp, so the stored arrays win verbatim.
-        hist.edges = edges[row].copy()
-        hist.counts = counts[row].astype(np.int64, copy=True)
-        hists[int(index)] = hist
-    return hists
+    return {
+        int(index): LogitHistogram.from_arrays(edges[row], counts[row])
+        for row, index in enumerate(data[f"{prefix}_indices"])
+    }
 
 
 def _encode_kdes(

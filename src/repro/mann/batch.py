@@ -19,8 +19,11 @@ with, and :class:`EngineStack` answers rows of several same-shaped
 models in one call, bit for bit as each model's own engine. Every
 reduction runs in a fixed order over the row's own data:
 
-* bag-of-words sums (Eq. 2) add word columns left to right
-  (:func:`_bag_of_words`); pad words add an exact zero;
+* bag-of-words sums (Eq. 2) add one whole word plane per step, left
+  to right (:func:`_bag_of_words`), and a memory row adds its slot's
+  temporal vector as one more plane, last, so it equals ``bow + t``;
+  pad words add an exact zero. Rows one value wide take a running
+  sum, because numpy would add a lone contiguous run pairwise;
 * the contractions whose shape the model fixes — Eq. 4's ``key @ w_r``
   (E x E) and the Eq. 6 logits (V x E) — are one BLAS gemv call per
   row (:func:`~repro.mips.backend.inner_products`). Every row's call
@@ -61,10 +64,12 @@ from repro.mips.thresholding import InferenceThresholding
 
 #: Bytes of gathered embedding rows the bag-of-words kernel holds at
 #: once: small enough to stay in a core's L2 cache, large enough that
-#: the per-chunk interpreter cost stays small. On a 2-vCPU Xeon host at
-#: the production shape (V=400, E=64, W=10, a 128-row flush), 256-512
-#: KiB chunks ran 2.4-4x faster than one whole-flush gather; 32 KiB and
-#: 4 MiB chunks were slower.
+#: the per-chunk interpreter cost stays small. On a 2-vCPU Xeon host
+#: (2 MiB L2 per core), ``write_memory`` with the word-major kernel ran
+#: fastest at 192-320 KiB both at the synthetic serving shape (V=400,
+#: E=64, W=10, a 128-row flush) and on a 64-row stacked flush of 20
+#: bAbI-shaped models (V=158, E=20, W=6); 128 and 512 KiB ran 5-20%
+#: slower, 32 KiB and 4 MiB 1.4-3x slower.
 _GATHER_BUDGET_BYTES = 256 * 1024
 
 
@@ -72,25 +77,30 @@ def _bag_of_words(matrix: np.ndarray, sentences: np.ndarray) -> np.ndarray:
     """Bag-of-words embeddings (Eq. 2) of a flat ``(N, W)`` index array.
 
     Row ``n`` is ``matrix[sentences[n, 0]] + matrix[sentences[n, 1]] +
-    ...`` added left to right: numpy reduces the words axis, which is
-    not the contiguous one, one word column at a time. A row's bits
-    therefore depend only on its own words, not on ``N``, the chunk it
-    lands in, or the batch and slot padding it came from. Pad tokens
-    gather ``matrix[0]``, which callers zero. The ``(N, W, D)`` gather
-    is materialised at most ``_GATHER_BUDGET_BYTES`` at a time.
+    ...`` added left to right. The kernel is word-major: a chunk's
+    ``(W, n, D)`` gather is reduced over its outer axis, one whole
+    contiguous ``(n, D)`` plane per step, so pass the transpose of a
+    word-major ``(W, N)`` array to gather without copying the indices.
+    A row's bits depend only on its own words, not on ``N``, the chunk
+    it lands in, or the batch and slot padding it came from. Pad tokens
+    gather ``matrix[0]``, which callers zero. The gather is
+    materialised at most ``_GATHER_BUDGET_BYTES`` at a time.
     """
-    # ``take`` gathers the same rows as ``matrix[sentences]``, 7-40%
-    # faster on the serving shapes (no advanced-indexing machinery).
-    word_bytes = matrix.shape[1] * matrix.itemsize
-    if sentences.size * word_bytes <= _GATHER_BUDGET_BYTES:
-        return matrix.take(sentences, axis=0).sum(axis=1)
-    n, words = sentences.shape
-    chunk = max(1, _GATHER_BUDGET_BYTES // (words * word_bytes))
+    words = sentences.T
+    n = len(sentences)
     out = np.empty((n, matrix.shape[1]), dtype=matrix.dtype)
+    sentence_bytes = max(1, len(words)) * matrix[0].nbytes
+    chunk = max(1, _GATHER_BUDGET_BYTES // sentence_bytes)
     for lo in range(0, n, chunk):
-        matrix.take(sentences[lo : lo + chunk], axis=0).sum(
-            axis=1, out=out[lo : lo + chunk]
-        )
+        # ``take`` gathers the same rows as ``matrix[words]`` without
+        # the advanced-indexing machinery.
+        planes = matrix.take(words[:, lo : lo + chunk], axis=0)
+        if matrix.shape[1] == 1 and len(planes):
+            # A lone 1-wide row is one contiguous run, which numpy would
+            # sum pairwise; a running sum keeps it left to right.
+            out[lo : lo + chunk] = np.cumsum(planes, axis=0)[-1]
+        else:
+            planes.sum(axis=0, out=out[lo : lo + chunk])
     return out
 
 
@@ -166,15 +176,16 @@ class _ForwardPass:
     """Eqs. 1-5 for a batch whose rows may run on different models.
 
     Holds the weight operands of one or more models that share their
-    vocabulary size, embedding width and hop count. Word embeddings sit
-    in gather matrices with model r's rows at offset ``r * V`` (every
-    model's pad row zeroed, so a pad token gathers nothing whatever its
-    model); temporal vectors and controller weights stack along a
-    leading model axis, temporal vectors zero-padded to the longest
-    memory. ``route`` (B,) names each row's model. ``None``
-    runs every row on model 0 and broadcasts its operands without a
-    copy; by the module's batch-independence contract both give a row
-    the same bits.
+    vocabulary size, embedding width and hop count. The write phase has
+    one gather matrix: model r's block starts at row ``r * (V + M)``
+    (M the longest memory) and holds its V word rows ``[w_emb_a |
+    w_emb_c]`` with the pad row zeroed, so a pad token gathers nothing
+    whatever its model, then its temporal rows ``[t_a | t_c]``,
+    zero-padded to M. Question embeddings sit at offset ``r * V`` of
+    their own matrix; controller weights stack along a leading model
+    axis. ``route`` (B,) names each row's model. ``None`` runs every
+    row on model 0 and broadcasts its operands without a copy; by the
+    module's batch-independence contract both give a row the same bits.
     """
 
     def __init__(self, weights: Sequence[MannWeights]):
@@ -183,20 +194,26 @@ class _ForwardPass:
         self._vocab = config.vocab_size
         self._memory_sizes = np.array([w.config.memory_size for w in weights])
         self.memory_size = int(self._memory_sizes.max())
-        # Columns [:E] of ``_w_emb_ac`` are the address embedding, [E:]
-        # the content embedding: one gather serves both memories.
-        self._w_emb_ac = np.concatenate(
-            [np.concatenate([w.w_emb_a, w.w_emb_c], axis=1) for w in weights]
-        )
-        self._w_emb_ac[:: self._vocab] = 0
+        # Columns [:E] of ``_w_emb_ac`` are the address side, [E:] the
+        # content side: one gather serves both memories.
+        self._model_rows = self._vocab + self.memory_size
+        blocks = []
+        for w in weights:
+            words = np.concatenate([w.w_emb_a, w.w_emb_c], axis=1)
+            temporal = np.concatenate([w.t_a, w.t_c], axis=1)
+            # A slot sums its words and its temporal row in one
+            # reduction, so both must already be in the dtype it runs in.
+            if words.dtype != temporal.dtype:
+                raise ValueError(
+                    f"word embeddings are {words.dtype} but temporal vectors "
+                    f"are {temporal.dtype}: the write phase sums both in one dtype"
+                )
+            temporal = np.pad(temporal, ((0, self.memory_size - len(temporal)), (0, 0)))
+            blocks.append(np.concatenate([words, temporal]))
+        self._w_emb_ac = np.concatenate(blocks)
+        self._w_emb_ac[:: self._model_rows] = 0
         self._w_emb_q = np.concatenate([w.w_emb_q for w in weights])
         self._w_emb_q[:: self._vocab] = 0
-        shape = (len(weights), self.memory_size, config.embed_dim)
-        self._t_a = np.zeros(shape, dtype=weights[0].t_a.dtype)
-        self._t_c = np.zeros(shape, dtype=weights[0].t_c.dtype)
-        for r, w in enumerate(weights):
-            self._t_a[r, : w.config.memory_size] = w.t_a
-            self._t_c[r, : w.config.memory_size] = w.t_c
         # Eq. 4 runs as ``w_r.T @ key``, one gemv per row
         # (:func:`~repro.mips.backend.inner_products`), over operands
         # transposed once here.
@@ -205,23 +222,40 @@ class _ForwardPass:
         )
 
     # -- write path ----------------------------------------------------
-    def _embed_sentences(
-        self, sentences: np.ndarray, slot: np.ndarray, model: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Address/content memory rows (Eq. 2 plus the temporal
-        vectors) of a flat ``(N, W)`` sentence array: sentence n fills
-        slot ``slot[n]`` of a story of model ``model[n]`` (None: every
-        sentence is model 0's)."""
-        if model is None:
-            t_a, t_c = self._t_a[0, slot], self._t_c[0, slot]
-        else:
-            sentences = sentences + (model * self._vocab)[:, None]
-            t_a, t_c = self._t_a[model, slot], self._t_c[model, slot]
-        # One fused gather serves both memories; pad tokens gather the
-        # zeroed row and contribute nothing.
-        bow = _bag_of_words(self._w_emb_ac, sentences)
-        embed = t_a.shape[1]
-        return bow[:, :embed] + t_a, bow[:, embed:] + t_c
+    def _new_memory(self, batch: int, slots: int) -> np.ndarray:
+        """Zeroed ``(2, B, L, E)`` memory: ``[0]`` is the address memory,
+        ``[1]`` the content memory. Each is contiguous because the hop
+        einsums run ~1.4x slower over the strided halves of a
+        ``(B, L, 2E)`` array."""
+        embed = self._w_emb_ac.shape[1] // 2
+        return np.zeros((2, batch, slots, embed), dtype=self._w_emb_ac.dtype)
+
+    def _embed_into(
+        self,
+        memory: np.ndarray,
+        stories: np.ndarray,
+        cells: np.ndarray,
+        model: np.ndarray | None,
+    ) -> None:
+        """Write the memory rows (Eq. 2 plus the temporal vectors) of the
+        sentences at flat ``(B * L)`` indices ``cells`` of ``stories``
+        into the same cells of ``memory``; sentence n belongs to a story
+        of model ``model[n]`` (None: every sentence is model 0's).
+
+        Each sentence gathers its W word rows and then its slot's
+        temporal row, so its sum equals ``bow + t`` bit for bit, and one
+        scatter along the flat cell axis places both memories' rows.
+        """
+        batch, slots, words = stories.shape
+        index = np.empty((words + 1, len(cells)), dtype=np.int64)
+        index[:words] = stories.reshape(-1, words).take(cells, axis=0).T
+        index[words] = cells % slots + self._vocab
+        if model is not None:
+            index += model * self._model_rows
+        rows = _bag_of_words(self._w_emb_ac, index.T)  # (N, [a | c])
+        memory.reshape(2, batch * slots, -1)[:, cells] = rows.reshape(
+            len(cells), 2, -1
+        ).swapaxes(0, 1)
 
     def write_memory(
         self,
@@ -240,15 +274,12 @@ class _ForwardPass:
         # Real sentences only: pad slots are never gathered. Cheaper than
         # the padded layout for every batch but a single row, and the
         # saving grows with the slot padding a mixed batch carries.
-        example, slot = np.nonzero(slot_mask)
-        rows_a, rows_c = self._embed_sentences(
-            stories[example, slot], slot, None if route is None else route[example]
+        cells = np.flatnonzero(slot_mask)
+        memory = self._new_memory(batch, slots)
+        self._embed_into(
+            memory, stories, cells, None if route is None else route[cells // slots]
         )
-        mem_a = np.zeros((batch, slots, rows_a.shape[1]), dtype=rows_a.dtype)
-        mem_c = np.zeros((batch, slots, rows_c.shape[1]), dtype=rows_c.dtype)
-        mem_a[example, slot] = rows_a
-        mem_c[example, slot] = rows_c
-        return mem_a, mem_c, slot_mask
+        return memory[0], memory[1], slot_mask
 
     def _write(self, stories, lengths, route):
         """The write phase ``_forward`` runs (engines add their cache)."""
@@ -440,14 +471,15 @@ class BatchInferenceEngine(_ForwardPass):
         """Memory write (Eqs. 1-2) through :attr:`memory_cache`.
 
         Bit-identical to :meth:`write_memory` by construction: each
-        memory row is its sentence's left-to-right sum over word
-        columns plus the slot's temporal vector, whatever the chunk,
-        batch or slot padding it is computed in. So embedding only the
-        real sentences of the batch's cache misses — one representative
-        per distinct story (within-flush dedupe) — and scattering the
-        rows back yields exactly the arrays a full recompute would.
-        Cached rows are trimmed to the story's real length; the rows at
-        and beyond it are exactly zero either way.
+        memory row is its sentence's word rows and then its slot's
+        temporal row, added left to right, whatever the chunk, batch or
+        slot padding it is computed in. So the real sentences of the
+        batch's cache misses — one representative per distinct story
+        (within-flush dedupe) — are embedded straight into the flush's
+        memory by the call :meth:`write_memory` makes, and each
+        duplicate copies its representative's rows. Cached rows are
+        trimmed to the story's real length; the rows at and beyond it
+        are exactly zero either way.
 
         One pass over the rows builds each row's exact story key once
         (:meth:`~repro.serving.cache.MemoryCache.key`). A row whose key
@@ -459,12 +491,9 @@ class BatchInferenceEngine(_ForwardPass):
         cache = self.memory_cache
         if cache is None:
             return self.write_memory(stories, lengths)
-        w = self.weights
         batch, slots, _ = stories.shape
-        embed = self.config.embed_dim
-        dtype = np.result_type(self._w_emb_ac, w.t_a)
-        mem_a = np.zeros((batch, slots, embed), dtype=dtype)
-        mem_c = np.zeros((batch, slots, embed), dtype=dtype)
+        memory = self._new_memory(batch, slots)
+        mem_a, mem_c = memory
         slot_mask = np.arange(slots)[None, :] < lengths[:, None]
         n_rows = lengths.tolist()
         # key -> the rows of one story missed in this flush, first row first
@@ -487,20 +516,13 @@ class BatchInferenceEngine(_ForwardPass):
         if missed:
             reps = np.array([rows[0] for rows in missed.values()])
             # Real sentences only, story by story, as write_memory.
-            example, slot = np.nonzero(slot_mask[reps])
-            miss_a, miss_c = self._embed_sentences(
-                stories[reps[example], slot], slot, None
-            )
-            end = 0
-            for key, rows in missed.items():
-                n = n_rows[rows[0]]
-                rows_a = miss_a[end : end + n]
-                rows_c = miss_c[end : end + n]
-                end += n
-                cache.put(key, rows_a, rows_c)
-                for i in rows:
-                    mem_a[i, :n] = rows_a
-                    mem_c[i, :n] = rows_c
+            cells = reps[:, None] * slots + np.arange(slots)
+            self._embed_into(memory, stories, cells[slot_mask[reps]], None)
+            for key, (first, *rest) in missed.items():
+                n = n_rows[first]
+                cache.put(key, mem_a[first, :n], mem_c[first, :n])
+                if rest:
+                    memory[:, rest] = memory[:, [first]]
         return mem_a, mem_c, slot_mask
 
     def _write(self, stories, lengths, route):

@@ -29,6 +29,23 @@ class LogitHistogram:
         self.edges = np.linspace(low, high, n_bins + 1)
         self.counts = np.zeros(n_bins, dtype=np.int64)
 
+    @classmethod
+    def from_arrays(cls, edges: np.ndarray, counts: np.ndarray) -> "LogitHistogram":
+        """A histogram holding copies of stored ``edges`` (n_bins + 1)
+        and ``counts`` (n_bins) verbatim: re-deriving the edges with
+        ``linspace`` could differ in the last ulp."""
+        edges = np.array(edges, dtype=np.float64)
+        counts = np.array(counts, dtype=np.int64)
+        if edges.ndim != 1 or counts.shape != (len(edges) - 1,) or len(counts) < 2:
+            raise ValueError(
+                f"histogram arrays of shapes {edges.shape} (edges) and "
+                f"{counts.shape} (counts): need n_bins + 1 and n_bins, n_bins >= 2"
+            )
+        hist = cls.__new__(cls)
+        hist.edges = edges
+        hist.counts = counts
+        return hist
+
     @property
     def n_bins(self) -> int:
         return len(self.counts)

@@ -13,15 +13,16 @@ What is cached, and why it is bit-exact
 The unit of caching is one story *as it appears in a stacked batch*:
 the padded ``(slots, words)`` int64 token matrix, trimmed to the
 story's real sentence count (its resolved length). Each memory row is
-its sentence's embedding rows summed left to right over the word
-columns, plus the slot's temporal vector, whatever the chunk, batch
-(or batch *size*) or slot padding it is computed in — see
+its sentence's word rows and then its slot's temporal row, added left
+to right one whole word plane at a time, whatever the chunk, batch (or
+batch *size*) or slot padding it is computed in — see
 ``repro.mann.batch._bag_of_words``. A story's memory rows are
 therefore bit-identical whether
 :meth:`~repro.mann.batch.BatchInferenceEngine.write_memory` embedded
-them among a whole padded batch or the miss path of
+them among a whole batch or the miss path of
 :meth:`~repro.mann.batch.BatchInferenceEngine.write_memory_cached`
-embedded only the real sentences of the flush's misses.
+embedded only the flush's missed stories, straight into the flush's
+memory through the same call.
 
 Exact keys
 ----------

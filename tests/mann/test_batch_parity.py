@@ -9,9 +9,11 @@ within float tolerance, across many random seeds.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mann import (
@@ -21,7 +23,7 @@ from repro.mann import (
     MannWeights,
 )
 from repro.mann import batch as batch_module
-from repro.mann.batch import _bag_of_words
+from repro.mann.batch import EngineStack, _bag_of_words
 from repro.mips import fit_threshold_model
 from repro.serving.cache import MemoryCache
 
@@ -251,14 +253,20 @@ def _bits(result, rows=slice(None)):
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    embed=st.integers(min_value=8, max_value=24),
+    # Narrow rows too: numpy sums a lone contiguous run of 9 or more
+    # values pairwise, so a 1-wide row alone could round unlike the
+    # same row in a batch.
+    embed=st.one_of(st.sampled_from([1, 2]), st.integers(min_value=8, max_value=24)),
     memory=st.integers(min_value=3, max_value=14),
     batch=st.integers(min_value=2, max_value=8),
+    words=st.integers(min_value=5, max_value=12),
     extra_slots=st.integers(min_value=1, max_value=4),
     extra_words=st.integers(min_value=1, max_value=3),
 )
+@example(seed=1, embed=1, memory=3, batch=5, words=12, extra_slots=1, extra_words=1)
+@example(seed=1, embed=2, memory=3, batch=5, words=12, extra_slots=1, extra_words=1)
 def test_search_bits_independent_of_the_batch(
-    seed, embed, memory, batch, extra_slots, extra_words
+    seed, embed, memory, batch, words, extra_slots, extra_words
 ):
     """For both stackable backends, ``search`` gives a row the same label
     and logit bits alone, at every position of a larger batch, and with
@@ -270,7 +278,7 @@ def test_search_bits_independent_of_the_batch(
         rng, vocab=vocab, embed=embed, memory=memory + extra_slots
     )
     stories, questions, lengths = random_batch(
-        rng, vocab=vocab, memory=memory, sentence_len=5, batch=batch
+        rng, vocab=vocab, memory=memory, sentence_len=words, batch=batch
     )
     train_logits = rng.normal(size=(80, vocab))
     model = fit_threshold_model(train_logits, train_logits.argmax(axis=1))
@@ -302,9 +310,10 @@ CHUNK = 10  # story sentences per gather chunk in the tests below
 
 def shrink_gather_budget(monkeypatch, engine) -> None:
     """Set the kernel's byte budget to exactly CHUNK story sentences of
-    random_batch's 4 words, so small batches cross chunk boundaries.
-    Questions (half as wide an embedding) get 2 * CHUNK rows a chunk."""
-    sentence_bytes = 4 * engine._w_emb_ac[0].nbytes
+    random_batch's 4 words plus their temporal row, so small batches
+    cross chunk boundaries. Questions (4 words, half as wide an
+    embedding) get 2.5 * CHUNK rows a chunk."""
+    sentence_bytes = (4 + 1) * engine._w_emb_ac[0].nbytes
     monkeypatch.setattr(batch_module, "_GATHER_BUDGET_BYTES", CHUNK * sentence_bytes)
 
 
@@ -331,10 +340,10 @@ def assert_same_bits_on_real_slots(expected, actual, lengths):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
     "batch_size",
-    # x 5 slots = 5, 10, 20, 25 and 120 sentences against CHUNK = 10:
-    # below, at, a multiple of, not a multiple of, and (questions too)
-    # well above one chunk.
-    [1, 2, 4, 5, 24],
+    # x 5 slots = 5, 10, 20, 25, 120 and 150 sentences against CHUNK =
+    # 10: below, at, a multiple of, not a multiple of, and well above
+    # one chunk; 30 questions cross the questions' 25-row chunk too.
+    [1, 2, 4, 5, 24, 30],
 )
 def test_write_memory_bit_identical_across_chunks(monkeypatch, dtype, batch_size):
     rng = np.random.default_rng(300 + batch_size)
@@ -350,6 +359,21 @@ def test_write_memory_bit_identical_across_chunks(monkeypatch, dtype, batch_size
     trace = engine.forward_trace(stories, questions, lengths)
     expected_keys = engine._w_emb_q[questions].sum(axis=1)
     assert trace.keys[0].tobytes() == expected_keys.tobytes()
+
+    # The stacked write: each row's word offsets and temporal rows come
+    # from its own model (memories zero-padded to 9 slots) across the
+    # same chunk boundaries.
+    models = [weights] + [random_weights(rng, memory=m, dtype=dtype) for m in (7, 9)]
+    stack = EngineStack([BatchInferenceEngine(w, "exact") for w in models])
+    route = rng.integers(0, len(models), batch_size)
+    mem_a, mem_c, _ = stack.write_memory(stories, lengths, route)
+    for r, w in enumerate(models):
+        rows = route == r
+        ref_a, ref_c = one_shot_write(
+            BatchInferenceEngine(w), stories[rows], lengths[rows]
+        )
+        assert_same_bits_on_real_slots(ref_a, mem_a[rows], lengths[rows])
+        assert_same_bits_on_real_slots(ref_c, mem_c[rows], lengths[rows])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -381,6 +405,19 @@ def test_cached_miss_path_bit_identical_across_chunks(monkeypatch, dtype):
 class TestEmbeddingDtype:
     """Regression: embeddings must follow the matrix dtype, including
     the empty-sentence zero vector (previously always float64)."""
+
+    def test_mixed_embedding_and_temporal_dtypes_rejected(self):
+        """A slot sums its words and its temporal row in one reduction:
+        float64 temporal vectors would lift float32 word sums to float64."""
+        rng = np.random.default_rng(5)
+        weights = random_weights(rng, dtype=np.float32)
+        mixed = dataclasses.replace(
+            weights,
+            t_a=weights.t_a.astype(np.float64),
+            t_c=weights.t_c.astype(np.float64),
+        )
+        with pytest.raises(ValueError, match="float32.*float64"):
+            BatchInferenceEngine(mixed)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_golden_empty_sentence_dtype(self, dtype):

@@ -56,6 +56,23 @@ class TestLogitHistogram:
         idx = [h.bin_index(v) for v in np.linspace(0.01, 0.99, 20)]
         assert idx == sorted(idx)
 
+    def test_from_arrays_restores_verbatim_copies(self, rng):
+        h = LogitHistogram(-3.0, 2.0, n_bins=8)
+        h.update_many(rng.normal(size=100))
+        restored = LogitHistogram.from_arrays(h.edges, h.counts)
+        assert restored.edges.tobytes() == h.edges.tobytes()
+        assert restored.counts.tobytes() == h.counts.tobytes()
+        assert restored.edges is not h.edges and restored.counts is not h.counts
+        assert restored.pdf(0.5) == h.pdf(0.5)
+
+    def test_from_arrays_checks_shapes(self):
+        with pytest.raises(ValueError):
+            LogitHistogram.from_arrays(np.linspace(0, 1, 5), np.zeros(5))
+        with pytest.raises(ValueError):
+            LogitHistogram.from_arrays(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError):
+            LogitHistogram.from_arrays(np.linspace(0, 1, 2), np.zeros(1))
+
 
 class TestGaussianKde:
     def test_empty_rejected(self):
