@@ -31,7 +31,10 @@ reduction runs in a fixed order over the row's own data:
   whether its operand is shared or gathered per row;
 * the Eq. 1 scores and the Eq. 5 read are einsums: the scores' innermost
   loop runs along the E axis, the read's along the E output columns
-  while the slots add up in order, one at a time;
+  while the slots add up in order, one at a time. A memory one value
+  wide reads with a running sum over the slots instead, because its
+  slots are one contiguous run, which numpy adds unrolled once there
+  are 8 or more;
 * the softmax denominator is a running sum over the slots, left to
   right. Pad slots carry zero attention mass, so in the read and the
   denominator they add exact zeros at the end.
@@ -369,8 +372,13 @@ class _ForwardPass:
         for _ in range(self.hops):
             scores, attention = self.attention(mem_a, key, slot_mask)  # Eq. 1
             # Eq. 5: the innermost loop runs along the E output columns
-            # while the slots add up in order.
-            read = np.einsum("bl,ble->be", attention, mem_c, optimize=False)
+            # while the slots add up in order. A 1-wide memory's slots are
+            # one contiguous run, which numpy would add unrolled; a running
+            # sum keeps them left to right.
+            if mem_c.shape[2] == 1:
+                read = np.cumsum(attention * mem_c[:, :, 0], axis=1)[:, -1:]
+            else:
+                read = np.einsum("bl,ble->be", attention, mem_c, optimize=False)
             h = read + inner_products(key, w_r_t)  # Eq. 4
             if trace is not None:
                 trace.keys.append(key)

@@ -92,6 +92,14 @@ class QueryResponse:
     with the submit-to-answer wall time: it stamps a predictor's fresh
     response (``latency_s`` None) once, in place, before any caller
     sees it, and copies a response that already carries a latency.
+
+    The serving hot path writes an instance's ``__dict__`` directly
+    rather than through the frozen ``__init__``, which costs one
+    ``object.__setattr__`` per field: the predictors' decode writes
+    every field and the scheduler's stamp sets ``latency_s``.
+    So the class keeps a ``__dict__`` (no ``__slots__``), and a field
+    added here must be added to that decode too
+    (``tests/serving/test_predictor.py`` checks every field).
     """
 
     label: int

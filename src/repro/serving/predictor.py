@@ -28,7 +28,7 @@ are answered as if it had never been in the flush.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -40,6 +40,7 @@ from repro.eval.suite import BabiSuite, TaskSystem
 from repro.hw.accelerator import MannAccelerator
 from repro.hw.config import HwConfig
 from repro.mann.batch import BatchInferenceEngine, EngineStack, infer_story_lengths
+from repro.mips.stats import BatchSearchResult
 from repro.serving.api import QueryRequest, QueryResponse
 from repro.serving.cache import MemoryCache
 from repro.serving.errors import InvalidRequestError
@@ -175,6 +176,43 @@ def _predict_valid(requests, memory_size, vocab_size, answer) -> list:
     ]
 
 
+def _decode(requests, result: BatchSearchResult, vocabs) -> list[QueryResponse]:
+    """The responses of one engine call: row ``i`` of ``result`` answers
+    ``requests[i]``, its label decoded in the ``i``-th item of
+    ``vocabs`` (None leaves ``answer`` unset).
+
+    Each response is a bare instance whose ``__dict__`` is filled
+    directly: the frozen dataclass's ``__init__`` spends one
+    ``object.__setattr__`` per field, about four times as long.
+    """
+    new = object.__new__
+    responses = []
+    # tolist() converts each array to Python scalars in one call.
+    for request, vocab, label, logit, count, early in zip(
+        requests,
+        vocabs,
+        result.labels.tolist(),
+        result.logits.tolist(),
+        result.comparisons.tolist(),
+        result.early_exits.tolist(),
+    ):
+        response = new(QueryResponse)
+        # Item by item, in field order, the dict shares the class's keys
+        # (dict.update would give each response its own key table).
+        values = response.__dict__
+        values["label"] = label
+        values["logit"] = logit
+        values["comparisons"] = count
+        values["early_exit"] = early
+        values["answer"] = (
+            vocab.word(label) if vocab is not None and label >= 0 else None
+        )
+        values["request_id"] = request.request_id
+        values["latency_s"] = None
+        responses.append(response)
+    return responses
+
+
 def first_answer(answers: list) -> QueryResponse:
     """``predict``'s result from a one-request ``predict_batch``: the
     response, or its :class:`InvalidRequestError` raised."""
@@ -213,31 +251,6 @@ class SoftwarePredictor:
     def predict(self, request: QueryRequest) -> QueryResponse:
         return first_answer(self.predict_batch([request]))
 
-    def _responses(
-        self, requests, labels, logits, comparisons, early_exits
-    ) -> list[QueryResponse]:
-        """Decode stacked result arrays into responses (this route's
-        own call and a :class:`PredictorStack` call share it)."""
-        word = self.vocab.word if self.vocab is not None else None
-        # tolist() converts each array to Python scalars in one call.
-        return [
-            QueryResponse(
-                label=label,
-                logit=logit,
-                comparisons=count,
-                early_exit=early,
-                answer=word(label) if word is not None and label >= 0 else None,
-                request_id=request.request_id,
-            )
-            for request, label, logit, count, early in zip(
-                requests,
-                np.asarray(labels).tolist(),
-                np.asarray(logits).tolist(),
-                np.asarray(comparisons).tolist(),
-                np.asarray(early_exits).tolist(),
-            )
-        ]
-
     def predict_batch(
         self, requests: Sequence[QueryRequest]
     ) -> list[QueryResponse | InvalidRequestError]:
@@ -247,14 +260,8 @@ class SoftwarePredictor:
         )
 
     def _search(self, requests, rows, stories, questions, lengths):
-        results = self.engine.search(stories, questions, lengths)
-        return self._responses(
-            requests,
-            results.labels,
-            results.logits,
-            results.comparisons,
-            results.early_exits,
-        )
+        result = self.engine.search(stories, questions, lengths)
+        return _decode(requests, result, repeat(self.vocab))
 
     # -- story-encoding cache hooks ------------------------------------
     def cache_counters(self) -> tuple[int, int, int] | None:
@@ -267,11 +274,11 @@ class PredictorStack:
     """Same-shaped software routes answered with one engine call.
 
     Wraps an :class:`~repro.mann.batch.EngineStack` over the routes'
-    engines. :meth:`predict_groups` stacks the requests of several
-    routes, runs one forward pass and output search, and decodes each
-    route's rows with that route's own decoder: every response equals
-    the one the route's own ``predict_batch`` would give, bit for bit,
-    invalid requests included.
+    engines. :meth:`predict_rows` runs a flush's rows, in submission
+    order, through one forward pass and output search, and decodes them
+    in one pass, each row with its own route's vocabulary: every
+    response equals the one the route's own ``predict_batch`` would
+    give, bit for bit, invalid requests included.
     """
 
     def __init__(self, predictors: Sequence[SoftwarePredictor]):
@@ -282,6 +289,7 @@ class PredictorStack:
         )
         # The stack key holds the vocabulary size: every member shares it.
         self._vocab_size = self.predictors[0].engine.config.vocab_size
+        self._vocabs = [p.vocab for p in self.predictors]
 
     @staticmethod
     def key(predictor) -> tuple | None:
@@ -292,40 +300,23 @@ class PredictorStack:
             return None
         return EngineStack.key(predictor.engine)
 
-    def predict_groups(
-        self, groups: Sequence[tuple[int, Sequence[QueryRequest]]]
-    ) -> list[list[QueryResponse | InvalidRequestError]]:
-        """Answer ``(member, requests)`` groups, ``member`` indexing
-        :attr:`predictors`, in one engine call; one response list per
-        group."""
-        sizes = [len(requests) for _, requests in groups]
-        requests = [r for _, group in groups for r in group]
-        route = np.repeat([member for member, _ in groups], sizes)
-        answers = iter(
-            _predict_valid(
-                requests,
-                self._memory_sizes[route],
-                self._vocab_size,
-                lambda valid, rows, *arrays: self._search(valid, route[rows], *arrays),
-            )
+    def predict_rows(
+        self, requests: Sequence[QueryRequest], route: Sequence[int]
+    ) -> list[QueryResponse | InvalidRequestError]:
+        """Answer ``requests`` in one engine call, row ``i`` on the
+        member ``route[i]`` indexes in :attr:`predictors`; one response
+        (or :class:`InvalidRequestError`) per request, in order."""
+        route = np.asarray(route, dtype=np.int64)
+        return _predict_valid(
+            requests,
+            self._memory_sizes[route],
+            self._vocab_size,
+            lambda valid, rows, *arrays: self._search(valid, route[rows], *arrays),
         )
-        return [list(islice(answers, size)) for size in sizes]
 
     def _search(self, requests, route, stories, questions, lengths):
-        """One engine call; each run of rows on one member decodes with
-        that member's own decoder."""
         result = self.engine.search(stories, questions, lengths, route)
-        cuts = (np.flatnonzero(route[1:] != route[:-1]) + 1).tolist()
-        answers = []
-        for lo, hi in zip([0, *cuts], [*cuts, len(route)]):
-            answers += self.predictors[route[lo]]._responses(
-                requests[lo:hi],
-                result.labels[lo:hi],
-                result.logits[lo:hi],
-                result.comparisons[lo:hi],
-                result.early_exits[lo:hi],
-            )
-        return answers
+        return _decode(requests, result, [self._vocabs[m] for m in route.tolist()])
 
 
 class HardwarePredictor:
@@ -371,21 +362,14 @@ class HardwarePredictor:
         report = self.accelerator.run(
             batch, include_model_transfer=False, keep_examples=True
         )
-        return [
-            QueryResponse(
-                label=run.prediction,
-                logit=float(run.logit),
-                comparisons=run.comparisons,
-                early_exit=run.early_exit,
-                answer=(
-                    self.vocab.word(run.prediction)
-                    if self.vocab is not None and run.prediction >= 0
-                    else None
-                ),
-                request_id=request.request_id,
-            )
-            for request, run in zip(requests, report.examples)
-        ]
+        runs = report.examples
+        result = BatchSearchResult(
+            labels=[run.prediction for run in runs],
+            logits=[run.logit for run in runs],
+            comparisons=[run.comparisons for run in runs],
+            early_exits=[run.early_exit for run in runs],
+        )
+        return _decode(requests, result, repeat(self.vocab))
 
 
 # ---------------------------------------------------------------------------

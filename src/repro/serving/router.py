@@ -17,7 +17,11 @@ predictors with the same vocabulary size, embedding width, hop count,
 weight dtypes and exact or threshold backend, and no story cache — and
 a mixed-task flush answers all of a group's routes with one engine
 call (:class:`~repro.mann.batch.EngineStack`), bit for bit as each
-route's own ``predict_batch``. Every other route keeps one
+route's own ``predict_batch``. A flush is one pass: each row's route is
+resolved once, the stack takes its rows in submission order with a
+per-row member index (a flush that is one stacked call passes its
+request list straight through), and one decode answers every row in
+its own route's vocabulary. Every other route keeps one
 ``predict_batch`` per flush: the hw device, custom predictors,
 story-cached routes, other backends, and a route alone in its group or
 in the flush. Each threshold backend's ``theta`` is snapshotted when
@@ -25,8 +29,9 @@ the router opens.
 
 Per-route traffic is accounted in ``router.route_stats[task]`` — one
 flush per route present, stacked or not, counted only once every call
-of the flush has returned; scheduler-level flush statistics stay in
-``router.stats``. Each route's predictor checks its own rows: a
+of the flush has returned, with the story-cache counters of each route
+opened with a cache mirrored there; scheduler-level flush statistics
+stay in ``router.stats``. Each route's predictor checks its own rows: a
 malformed request resolves with
 :class:`~repro.serving.errors.InvalidRequestError` and every other
 request of the flush is answered. A route call that raises anyway is a
@@ -36,6 +41,7 @@ bug, and fails every request of the flush.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from typing import Mapping, Sequence
 
 from repro.serving.api import Predictor, QueryRequest, QueryResponse, ServingStats
@@ -51,9 +57,10 @@ class _RoutingPredictor:
         self._routes = routes
         self._route_stats = route_stats
         self._resolve = resolve
-        #: task -> (PredictorStack, member index) for every route that
-        #: shares its stack key with another route (see predict_batch).
-        self._stacks: dict = {}
+        #: task -> its PredictorStack and task -> its member index there,
+        #: for every route that shares its stack key with another route.
+        self._stack_of: dict = {}
+        self._member: dict = {}
         by_key: dict = {}
         for task, predictor in routes.items():
             key = PredictorStack.key(predictor)
@@ -63,15 +70,16 @@ class _RoutingPredictor:
             if len(tasks) > 1:
                 stack = PredictorStack([routes[task] for task in tasks])
                 for member, task in enumerate(tasks):
-                    self._stacks[task] = (stack, member)
+                    self._stack_of[task] = stack
+                    self._member[task] = member
+        #: task -> ``cache_counters`` hook of every route opened with a
+        #: story cache; only these have cache counters to mirror.
+        self._cache_hooks = {
+            task: predictor.cache_counters
+            for task, predictor in routes.items()
+            if getattr(predictor, "cache_counters", lambda: None)() is not None
+        }
         self._stats_lock = threading.Lock()
-
-    def _grouped(self, requests: Sequence[QueryRequest]):
-        """Indices grouped by resolved task, in submission order."""
-        groups: dict = {}
-        for i, request in enumerate(requests):
-            groups.setdefault(self._resolve(request), []).append(i)
-        return groups
 
     def predict(self, request: QueryRequest) -> QueryResponse:
         return first_answer(self.predict_batch([request]))
@@ -81,75 +89,62 @@ class _RoutingPredictor:
     ) -> list[QueryResponse | InvalidRequestError]:
         """Answer a mixed-task batch.
 
-        Routes that share a :class:`PredictorStack` answer together in
-        one engine call; every other route — one alone in its stack, or
-        a predictor that cannot stack — gets its own ``predict_batch``.
-        Either way the answers are each route's own, bit for bit, and
-        per-route accounting counts one flush per route present — after
-        every call has returned, so a route whose call ran before a
-        failing one counts nothing.
+        Routes of one :class:`PredictorStack` answer together in one
+        engine call when two or more of them are in the batch; every
+        other route — one alone in its stack or in the batch, or a
+        predictor that cannot stack — gets its own ``predict_batch``.
+        Each call takes its rows in submission order, and a batch that
+        is one call passes its request list straight through. Either
+        way the answers are each route's own, bit for bit, and per-route
+        accounting counts one flush per route present — after every
+        call has returned, so a route whose call ran before a failing
+        one counts nothing.
         """
-        responses: list = [None] * len(requests)
-        own_calls = []
-        stacked: dict = {}
-        for task, indices in self._grouped(requests).items():
-            if task in self._stacks:
-                stack, member = self._stacks[task]
-                stacked.setdefault(stack, []).append((task, member, indices))
-            else:
-                own_calls.append((task, indices))
-        answered = []
-        for stack, groups in stacked.items():
-            if len(groups) == 1:
-                task, _, indices = groups[0]
-                own_calls.append((task, indices))
-                continue
-            results = stack.predict_groups(
-                [
-                    (member, [requests[i] for i in indices])
-                    for _, member, indices in groups
-                ]
-            )
-            for (task, _, indices), group in zip(groups, results):
-                answered.append((task, indices, group))
-        for task, indices in own_calls:
-            group = self._routes[task].predict_batch([requests[i] for i in indices])
-            answered.append((task, indices, group))
-        for task, indices, group in answered:
-            self._answered(task, indices, group, responses)
+        tasks = [self._resolve(request) for request in requests]
+        counts = Counter(tasks)
+        stack_of = self._stack_of
+        present = Counter(stack_of[task] for task in counts if task in stack_of)
+        # Each route's call: its stack when another route of the stack
+        # is present (``present[None]`` is 0), else the route itself.
+        calls = {
+            task: stack_of[task] if present[stack_of.get(task)] > 1 else task
+            for task in counts
+        }
+        if len(set(calls.values())) == 1:
+            responses = self._call(calls[tasks[0]], requests, tasks)
+        else:
+            rows: dict = {}
+            for i, task in enumerate(tasks):
+                rows.setdefault(calls[task], []).append(i)
+            responses = [None] * len(requests)
+            for call, indices in rows.items():
+                answered = self._call(
+                    call, [requests[i] for i in indices], [tasks[i] for i in indices]
+                )
+                for i, response in zip(indices, answered):
+                    responses[i] = response
+        with self._stats_lock:
+            for task, rows_answered in counts.items():
+                self._route_stats[task].record_flush(rows_answered)
+            for task, hook in self._cache_hooks.items():
+                if task in counts:
+                    self._route_stats[task].set_cache_counters(*hook())
         return responses
 
-    def _answered(self, task, indices, answered, responses) -> None:
-        """Account one route's answered rows and slot them into place."""
-        with self._stats_lock:
-            self._route_stats[task].record_flush(len(indices))
-            self._sync_route_cache(task)
-        for i, response in zip(indices, answered):
-            responses[i] = response
-
-    def _sync_route_cache(self, task) -> None:
-        """Mirror one route's story-cache counters into its per-route
-        stats (caller holds ``_stats_lock``; no-op without a cache)."""
-        hook = getattr(self._routes[task], "cache_counters", None)
-        counters = hook() if hook is not None else None
-        if counters is not None:
-            self._route_stats[task].set_cache_counters(*counters)
+    def _call(self, call, requests, tasks) -> list:
+        """One stacked call (rows on their routes' members) or one
+        route's own ``predict_batch``."""
+        if isinstance(call, PredictorStack):
+            return call.predict_rows(requests, [self._member[task] for task in tasks])
+        return self._routes[call].predict_batch(requests)
 
     def cache_counters(self) -> tuple[int, int, int] | None:
         """Cumulative ``(hits, misses, evictions)`` over every route's
         story cache, or None when no route caches — the scheduler's
         ``ServingStats`` mirror aggregates all routes."""
-        totals = None
-        for predictor in self._routes.values():
-            hook = getattr(predictor, "cache_counters", None)
-            counters = hook() if hook is not None else None
-            if counters is None:
-                continue
-            if totals is None:
-                totals = [0, 0, 0]
-            for k in range(3):
-                totals[k] += counters[k]
-        return tuple(totals) if totals is not None else None
+        if not self._cache_hooks:
+            return None
+        return tuple(map(sum, zip(*(hook() for hook in self._cache_hooks.values()))))
 
 
 class ModelRouter:

@@ -565,7 +565,7 @@ class BatchScheduler:
                 # A fresh response from the predictor: stamp it in place
                 # rather than building it a second time. One the caller
                 # may already hold (stamped before) is copied instead.
-                object.__setattr__(response, "latency_s", latency)
+                response.__dict__["latency_s"] = latency
             else:
                 response = replace(response, latency_s=latency)
             pending.future.set_result(response)

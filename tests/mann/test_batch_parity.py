@@ -265,6 +265,9 @@ def _bits(result, rows=slice(None)):
 )
 @example(seed=1, embed=1, memory=3, batch=5, words=12, extra_slots=1, extra_words=1)
 @example(seed=1, embed=2, memory=3, batch=5, words=12, extra_slots=1, extra_words=1)
+# Padding 6 real slots to 9 makes a 1-wide Eq. 5 read long enough for
+# numpy to unroll it: it fails without the read's running sum.
+@example(seed=0, embed=1, memory=6, batch=2, words=5, extra_slots=3, extra_words=1)
 def test_search_bits_independent_of_the_batch(
     seed, embed, memory, batch, words, extra_slots, extra_words
 ):

@@ -1,5 +1,7 @@
 """Predictor facade parity against the engines it hides."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.serving import (
     SoftwarePredictor,
     open_predictor,
 )
+from repro.serving.predictor import PredictorStack
 
 
 def _requests(batch, n=None):
@@ -139,6 +142,41 @@ class TestHardwareParity:
         for response in hw_responses:
             assert isinstance(response, QueryResponse)
             assert np.isfinite(response.logit)
+
+
+class TestDecodedResponses:
+    """Every predictor fills a bare response's ``__dict__`` instead of
+    running the frozen ``__init__``: the result must be the response
+    that ``__init__`` builds from the same values, and stay frozen."""
+
+    @staticmethod
+    def _decoded(tiny_suite, path):
+        requests = _requests(tiny_suite.tasks[1].test_batch, 4)
+        if path == "stack":
+            stack = PredictorStack([open_predictor(tiny_suite, t) for t in (1, 6)])
+            return requests, stack.predict_rows(requests, [0, 1, 0, 1])
+        predictor = open_predictor(tiny_suite, 1, device=path)
+        return requests, predictor.predict_batch(requests)
+
+    @pytest.mark.parametrize("path", ["sw", "hw", "stack"])
+    def test_decoded_response_is_a_frozen_query_response(self, tiny_suite, path):
+        names = [f.name for f in dataclasses.fields(QueryResponse)]
+        requests, responses = self._decoded(tiny_suite, path)
+        for request, response in zip(requests, responses):
+            # Every field is set on the instance itself: a field added to
+            # QueryResponse but not to the decode fails here.
+            assert type(response) is QueryResponse
+            assert sorted(vars(response)) == sorted(names)
+            built = QueryResponse(**{name: getattr(response, name) for name in names})
+            assert response == built and hash(response) == hash(built)
+            assert response.request_id == request.request_id
+            assert response.answer == tiny_suite.vocab.word(response.label)
+            assert response.latency_s is None
+            stamped = dataclasses.replace(response, latency_s=0.5)
+            assert stamped.latency_s == 0.5 and stamped != response
+            assert dataclasses.replace(stamped, latency_s=None) == response
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                response.label = 0
 
 
 class TestFactory:

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.babi.vocab import Vocab
 from repro.eval.suite import BabiSuite, SuiteConfig
 from repro.serving import (
     InvalidRequestError,
     ModelRouter,
     QueryRequest,
     QueryResponse,
+    SoftwarePredictor,
     open_predictor,
 )
 
@@ -313,6 +315,43 @@ class TestStackedFlush:
         assert all(self._same(a, b) for a, b in zip(answered, expected))
 
 
+class TestStackedDecode:
+    def test_each_row_decodes_in_its_own_routes_vocabulary(self, mixed_suite):
+        """Two stacked routes whose vocabularies have the same size but
+        different words, shuffled into one flush: each row's ``answer``
+        comes from its own route's vocabulary, as on the route's own
+        call."""
+        vocab = mixed_suite.vocab
+        renamed = Vocab(f"word{i}" for i in range(1, len(vocab)))
+        assert len(renamed) == len(vocab)
+        routes = {
+            1: open_predictor(mixed_suite, 1),
+            3: SoftwarePredictor(
+                open_predictor(mixed_suite, 3).engine, vocab=renamed, task_id=3
+            ),
+        }
+        requests = [_request(mixed_suite, task, i) for task in (1, 3) for i in range(12)]
+        order = np.random.default_rng(3).permutation(len(requests))
+        requests = [requests[i] for i in order]
+        with ModelRouter(routes, start_worker=False) as router:
+            own_calls = []
+            for task, route in routes.items():
+                inner = route.predict_batch
+                route.predict_batch = (
+                    lambda requests, inner=inner, task=task: (
+                        own_calls.append(task) or inner(requests)
+                    )
+                )
+            answered = router.predict_batch(requests)
+            assert own_calls == []  # one stacked call
+            expected = [routes[r.task].predict_batch([r])[0] for r in requests]
+        assert answered == expected
+        words = {1: vocab, 3: renamed}
+        for request, response in zip(requests, answered):
+            assert response.answer == words[request.task].word(response.label)
+        assert any(r.label > 0 for r in answered)  # real words, not the pad
+
+
 #: Every way a request can fail to fit its model, and a word its
 #: InvalidRequestError message must name.
 MALFORMED = {
@@ -429,3 +468,43 @@ class TestMalformedRequests:
                 error = future.exception(timeout=10.0)
                 assert isinstance(error, InvalidRequestError), (kind, error)
                 assert MALFORMED[kind] in str(error), (kind, error)
+
+
+def _cache_mirror(stats) -> tuple[int, int, int]:
+    return stats.cache_hits, stats.cache_misses, stats.cache_evictions
+
+
+class TestCacheMirrors:
+    def test_only_cached_routes_mirror_their_cache(self, mixed_suite):
+        """Stacked uncached routes plus one story-cached route: after
+        every flush the cached route's ``route_stats`` hits, misses and
+        evictions equal its cache's counters, the uncached routes'
+        mirrors stay 0, and ``router.stats`` mirrors the cached route."""
+        routes = {
+            route: open_predictor(
+                mixed_suite,
+                _model_task(route),
+                cache_entries=4 if route == "cached" else None,
+            )
+            for route in ROUTES
+        }
+        rng = np.random.default_rng(7)
+        with ModelRouter(routes, max_batch=64, start_worker=False) as router:
+            cache = router.predictor("cached").cache
+            for _ in range(6):
+                draws = rng.integers(0, [len(ROUTES), 12], (10, 2)).tolist()
+                futures = [
+                    router.submit(
+                        _request(mixed_suite, _model_task(ROUTES[j]), i, ROUTES[j])
+                    )
+                    for j, i in draws
+                ]
+                router.flush()
+                assert all(f.exception(timeout=10.0) is None for f in futures)
+                counters = cache.counters()
+                assert _cache_mirror(router.route_stats["cached"]) == counters
+                for task in mixed_suite.task_ids:
+                    assert _cache_mirror(router.route_stats[task]) == (0, 0, 0)
+                assert _cache_mirror(router.stats) == counters
+            hits, misses, evictions = counters
+        assert hits > 0 and misses > 0 and evictions > 0
