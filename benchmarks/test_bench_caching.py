@@ -130,17 +130,15 @@ def _rung(weights, requests):
     }
     # The correctness bar: the cache may only remove compute.
     assert answers["on"] == answers["off"], "the cache changed an answer"
-    cache = sides["on"].engine.memory_cache
-    warm = cache.counters()
+    cache = sides["on"].engine.memory_cache.stats
+    warm_hits, warm_misses = cache.hits, cache.misses
     passes = {"off": [], "on": []}
     for pair in range(PAIRS):
         for name in ("off", "on") if pair % 2 == 0 else ("on", "off"):
             seconds, labels, logits, stats = _timed_pass(sides[name], requests)
             assert (labels, logits) == answers[name], "nondeterministic answers"
             passes[name].append((seconds, stats))
-    hits, misses, _ = (
-        after - before for before, after in zip(warm, cache.counters())
-    )
+    hits, misses = cache.hits - warm_hits, cache.misses - warm_misses
     ratios = [
         off[0] / on[0] for off, on in zip(passes["off"], passes["on"])
     ]

@@ -6,9 +6,9 @@ The serving front door this repo grew in PR 8, end to end:
    ``AsyncFrontend`` over ``ModelRouter`` over ``BatchScheduler`` —
    with a bounded pending queue,
 2. ``await`` queries with per-request SLO deadlines: the scheduler's
-   deadline thread flushes *early* when the predicted flush cost
-   (live service percentiles x cache hit rate) would eat a request's
-   remaining slack,
+   deadline thread flushes *early* when the predicted flush time
+   (the p95 of recorded flush times) would eat a request's remaining
+   slack,
 3. overload the bounded queue open-loop and watch the three admission
    policies differ: ``block`` (async backpressure), ``shed`` (typed
    ``OverloadError`` at the door), ``shed-expired`` (past-deadline

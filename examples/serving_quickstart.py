@@ -89,9 +89,10 @@ def main() -> None:
         f"p95={stats.p95_latency_s * 1e3:.2f} ms "
         f"p99={stats.p99_latency_s * 1e3:.2f} ms"
     )
+    cache = cached.cache.stats
     print(
-        f"story cache: hit rate {stats.cache_hit_rate:.1%} "
-        f"({stats.cache_hits} hits / {stats.cache_misses} misses)"
+        f"story cache: hit rate {cache.hit_rate:.1%} "
+        f"({cache.hits} hits / {cache.misses} misses)"
     )
 
 

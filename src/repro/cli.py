@@ -578,14 +578,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                 else ""
             )
         )
-    stats = router.stats
     print(f"micro-batching speedup: {one_at_a_time / seconds:.1f}x")
     if args.cache_entries:
+        caches = [router.predictor(task).cache.stats for task in router.tasks]
+        hits = sum(stats.hits for stats in caches)
+        misses = sum(stats.misses for stats in caches)
+        evictions = sum(stats.evictions for stats in caches)
         print(
-            f"story cache: hit rate "
-            f"{stats.cache_hit_rate:.1%} ({stats.cache_hits} hits / "
-            f"{stats.cache_misses} misses, "
-            f"{stats.cache_evictions} evictions)"
+            f"story cache: hit rate {hits / max(1, hits + misses):.1%} "
+            f"({hits} hits / {misses} misses, {evictions} evictions)"
         )
     per_route = ", ".join(
         f"task {task}: {stats.requests}"

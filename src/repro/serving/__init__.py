@@ -31,19 +31,23 @@ The deployment story of the repro in three calls::
 * :class:`MemoryCache` — the cross-request story-encoding cache
   (``cache_entries=`` on :func:`open_predictor` / ``ModelRouter.open``):
   replayed stories skip the memory-write phase (Eqs. 1–2)
-  bit-identically, with hit rates surfaced in :class:`ServingStats`.
+  bit-identically; each cache counts its own hits in
+  ``predictor.cache.stats``.
 * :class:`AsyncFrontend` — the asyncio front door: awaitable queries
   with per-request SLO deadlines (``deadline_s``), admission control
   over a bounded queue (``queue_cap`` + ``overload_policy`` —
   :data:`OVERLOAD_POLICIES`), typed :class:`OverloadError` /
   :class:`DeadlineExceededError`, and a deadline thread that flushes
-  early when the predicted flush cost (:class:`FlushCostModel`, fed by
-  live :class:`ServingStats` and the cache hit rate) would eat a
-  request's remaining slack::
+  early when the predicted flush time (the p95 of recorded flush
+  times in :class:`ServingStats`) would eat a request's remaining
+  slack::
 
-      async with AsyncFrontend.open("artifacts/", queue_cap=256,
-                                    overload_policy="shed") as frontend:
-          response = await frontend.query(request, deadline_s=0.05)
+      async with AsyncFrontend(
+          ModelRouter.open("artifacts/", inline_flush=False,
+                           queue_cap=256, overload_policy="shed"),
+          default_deadline_s=0.05,
+      ) as frontend:
+          response = await frontend.query(request)
 
 * **Typed errors** (:mod:`repro.serving.errors`) — every request
   resolves with an answer or with one of :class:`OverloadError`,
@@ -79,11 +83,7 @@ from repro.serving.predictor import (
     open_predictor,
 )
 from repro.serving.router import ModelRouter
-from repro.serving.scheduler import (
-    OVERLOAD_POLICIES,
-    BatchScheduler,
-    FlushCostModel,
-)
+from repro.serving.scheduler import OVERLOAD_POLICIES, BatchScheduler
 
 __all__ = [
     "AsyncFrontend",
@@ -91,7 +91,6 @@ __all__ = [
     "CacheStats",
     "Clock",
     "DeadlineExceededError",
-    "FlushCostModel",
     "InvalidRequestError",
     "ManualClock",
     "MONOTONIC",

@@ -124,10 +124,6 @@ class Predictor(Protocol):
     the returned list, which ``predict`` raises and the
     :class:`~repro.serving.BatchScheduler` sets on that request's
     future alone.
-
-    After each flush the scheduler also calls one optional hook when a
-    predictor has it: ``cache_counters() -> (hits, misses, evictions) |
-    None``, mirrored into :class:`ServingStats`.
     """
 
     def predict(self, request: QueryRequest) -> QueryResponse: ...
@@ -199,12 +195,8 @@ class ServingStats:
     reservoir sample (:data:`RESERVOIR_CAPACITY`) whose count, mean and
     max stay exact however long the router runs; percentiles
     (``p50_latency_s``/``p95_latency_s``/``p99_latency_s``) come from
-    the sample.
-
-    ``cache_hits``/``cache_misses``/``cache_evictions`` mirror the
-    story-encoding :class:`~repro.serving.cache.MemoryCache` counters
-    of the serving predictor (synced at every flush), with
-    ``cache_hit_rate`` derived.
+    the sample. Story-cache counts live in each predictor's
+    :class:`~repro.serving.cache.MemoryCache` (``predictor.cache.stats``).
 
     The SLO layer adds four exact counters: ``shed`` (submissions
     rejected with :class:`OverloadError` at the full queue), ``expired``
@@ -216,7 +208,7 @@ class ServingStats:
     and expired requests count *against* it, which is what makes it an
     honest open-loop metric. Per-flush execution wall time feeds the
     ``_service`` reservoir (``p95_service_s``), the base of the
-    deadline thread's flush-cost prediction.
+    deadline thread's flush-time prediction.
 
     ``safety_net_wakeups`` counts async-frontend admission waits
     resolved by the lost-wakeup timer rather than a room callback — it
@@ -227,9 +219,6 @@ class ServingStats:
 
     requests: int = 0
     flushes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
     shed: int = 0
     expired: int = 0
     deadline_met: int = 0
@@ -279,15 +268,6 @@ class ServingStats:
     def record_safety_net(self, n: int = 1) -> None:
         """Count admission waits the lost-wakeup safety net resolved."""
         self.safety_net_wakeups += n
-
-    def set_cache_counters(
-        self, hits: int, misses: int, evictions: int
-    ) -> None:
-        """Overwrite the cache mirror with a cumulative snapshot (the
-        scheduler syncs the predictor's cache after each flush)."""
-        self.cache_hits = int(hits)
-        self.cache_misses = int(misses)
-        self.cache_evictions = int(evictions)
 
     # -- sampled series (bounded views; exact below capacity) ----------
     @property
@@ -359,12 +339,3 @@ class ServingStats:
         request carried a deadline and nothing was shed)."""
         outcomes = self.deadline_outcomes
         return self.deadline_met / outcomes if outcomes else 0.0
-
-    @property
-    def cache_lookups(self) -> int:
-        return self.cache_hits + self.cache_misses
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_lookups
-        return self.cache_hits / lookups if lookups else 0.0

@@ -75,13 +75,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    @property
-    def skip_rate(self) -> float:
-        """Fraction of rows that skipped the write phase entirely
-        (cross-request hits plus within-flush dedupes)."""
-        total = self.hits + self.misses + self.dedupes
-        return (self.hits + self.dedupes) / total if total else 0.0
-
 
 class MemoryCache:
     """LRU of written memory matrices, keyed by the story itself.
@@ -148,12 +141,6 @@ class MemoryCache:
     def entries(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def counters(self) -> tuple[int, int, int]:
-        """Cumulative ``(hits, misses, evictions)`` — the triple
-        :class:`~repro.serving.api.ServingStats` mirrors."""
-        with self._lock:
-            return self.stats.hits, self.stats.misses, self.stats.evictions
 
     def clear(self) -> None:
         with self._lock:

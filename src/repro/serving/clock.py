@@ -21,16 +21,14 @@ scheduler in manual mode (``start_worker=False``) and advance a
 
 from __future__ import annotations
 
-import math
 import time
 
 
 class Clock:
     """Monotonic time source (seconds since an arbitrary epoch).
 
-    ``now()`` wraps :func:`time.perf_counter`; the helpers express the
-    deadline arithmetic the scheduler and frontend need so the
-    conversions live in exactly one place.
+    ``now()`` wraps :func:`time.perf_counter`; :meth:`deadline_at`
+    turns a relative budget into an absolute deadline.
     """
 
     def now(self) -> float:
@@ -43,16 +41,6 @@ class Clock:
         if timeout_s is None:
             return None
         return (self.now() if start is None else start) + timeout_s
-
-    def remaining_s(self, deadline_at: float | None) -> float:
-        """Slack until an absolute deadline (+inf for no deadline)."""
-        if deadline_at is None:
-            return math.inf
-        return deadline_at - self.now()
-
-    def expired(self, deadline_at: float | None) -> bool:
-        """Whether an absolute deadline has already passed."""
-        return deadline_at is not None and self.now() >= deadline_at
 
 
 #: The process-wide default clock every serving component shares.

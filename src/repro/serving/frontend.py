@@ -29,18 +29,20 @@ bridge done right:
 
 The frontend wraps either a bare :class:`BatchScheduler` or a
 :class:`~repro.serving.router.ModelRouter` (anything with
-``submit_nowait`` / ``add_room_callback`` / ``close``). Use
-:meth:`AsyncFrontend.open` to build the whole stack from an artifact
-directory with ``inline_flush=False``, so a max-batch flush runs on
-the scheduler's deadline thread instead of whichever coroutine
-happened to submit the batch-completing request — the event loop never
-executes model math.
+``submit_nowait`` / ``add_room_callback`` / ``close``). Open the
+backend with ``inline_flush=False``, so a max-batch flush runs on the
+scheduler's deadline thread instead of whichever coroutine happened to
+submit the batch-completing request — the event loop never executes
+model math.
 
 Usage::
 
-    async with AsyncFrontend.open("artifacts/", queue_cap=256,
-                                  overload_policy="shed") as frontend:
-        response = await frontend.query(request, deadline_s=0.05)
+    async with AsyncFrontend(
+        ModelRouter.open("artifacts/", inline_flush=False,
+                         queue_cap=256, overload_policy="shed"),
+        default_deadline_s=0.05,
+    ) as frontend:
+        response = await frontend.query(request)
 
 Every coroutine resolves: with a response, the flush's exception,
 ``DeadlineExceededError`` (budget spent under "shed-expired"), or
@@ -54,7 +56,6 @@ from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
 from repro.serving.api import OverloadError, QueryRequest, QueryResponse
-from repro.serving.router import ModelRouter
 
 
 class AsyncFrontend:
@@ -207,38 +208,3 @@ class AsyncFrontend:
 
     async def __aexit__(self, *exc) -> None:
         await self.aclose()
-
-    # -- construction -------------------------------------------------
-    @classmethod
-    def open(
-        cls,
-        artifacts: str,
-        tasks: Sequence[int] | None = None,
-        *,
-        default_deadline_s: float | None = None,
-        queue_cap: int | None = None,
-        overload_policy: str = "block",
-        room_retry_s: float = 0.1,
-        **router_kwargs: Any,
-    ) -> "AsyncFrontend":
-        """Build router + scheduler + frontend from an artifact directory.
-
-        Accepts every :meth:`ModelRouter.open` keyword (``mips_backend``,
-        ``max_batch``, ``cache_entries``, ...). Forces
-        ``inline_flush=False`` so flush math never runs on the event
-        loop's thread — with ``start_worker=False`` you must call
-        ``backend.flush()`` (from a worker thread) yourself.
-        """
-        router_kwargs.setdefault("inline_flush", False)
-        router = ModelRouter.open(
-            artifacts,
-            tasks,
-            queue_cap=queue_cap,
-            overload_policy=overload_policy,
-            **router_kwargs,
-        )
-        return cls(
-            router,
-            default_deadline_s=default_deadline_s,
-            room_retry_s=room_retry_s,
-        )

@@ -263,12 +263,6 @@ class SoftwarePredictor:
         result = self.engine.search(stories, questions, lengths)
         return _decode(requests, result, repeat(self.vocab))
 
-    # -- story-encoding cache hooks ------------------------------------
-    def cache_counters(self) -> tuple[int, int, int] | None:
-        """Cumulative cache ``(hits, misses, evictions)``, or None when
-        caching is off — the scheduler mirrors this into its stats."""
-        return self.cache.counters() if self.cache is not None else None
-
 
 class PredictorStack:
     """Same-shaped software routes answered with one engine call.

@@ -29,10 +29,10 @@ the router opens.
 
 Per-route traffic is accounted in ``router.route_stats[task]`` — one
 flush per route present, stacked or not, counted only once every call
-of the flush has returned, with the story-cache counters of each route
-opened with a cache mirrored there; scheduler-level flush statistics
-stay in ``router.stats``. Each route's predictor checks its own rows: a
-malformed request resolves with
+of the flush has returned; scheduler-level flush statistics stay in
+``router.stats``, and a story-cached route counts its hits in
+``router.predictor(task).cache.stats``. Each route's predictor checks
+its own rows: a malformed request resolves with
 :class:`~repro.serving.errors.InvalidRequestError` and every other
 request of the flush is answered. A route call that raises anyway is a
 bug, and fails every request of the flush.
@@ -72,13 +72,6 @@ class _RoutingPredictor:
                 for member, task in enumerate(tasks):
                     self._stack_of[task] = stack
                     self._member[task] = member
-        #: task -> ``cache_counters`` hook of every route opened with a
-        #: story cache; only these have cache counters to mirror.
-        self._cache_hooks = {
-            task: predictor.cache_counters
-            for task, predictor in routes.items()
-            if getattr(predictor, "cache_counters", lambda: None)() is not None
-        }
         self._stats_lock = threading.Lock()
 
     def predict(self, request: QueryRequest) -> QueryResponse:
@@ -126,9 +119,6 @@ class _RoutingPredictor:
         with self._stats_lock:
             for task, rows_answered in counts.items():
                 self._route_stats[task].record_flush(rows_answered)
-            for task, hook in self._cache_hooks.items():
-                if task in counts:
-                    self._route_stats[task].set_cache_counters(*hook())
         return responses
 
     def _call(self, call, requests, tasks) -> list:
@@ -137,14 +127,6 @@ class _RoutingPredictor:
         if isinstance(call, PredictorStack):
             return call.predict_rows(requests, [self._member[task] for task in tasks])
         return self._routes[call].predict_batch(requests)
-
-    def cache_counters(self) -> tuple[int, int, int] | None:
-        """Cumulative ``(hits, misses, evictions)`` over every route's
-        story cache, or None when no route caches — the scheduler's
-        ``ServingStats`` mirror aggregates all routes."""
-        if not self._cache_hooks:
-            return None
-        return tuple(map(sum, zip(*(hook() for hook in self._cache_hooks.values()))))
 
 
 class ModelRouter:
@@ -176,9 +158,9 @@ class ModelRouter:
         self._dispatch = _RoutingPredictor(
             self._routes, self.route_stats, self.resolve_task
         )
-        # scheduler_kwargs forwards the admission-control / SLO knobs
-        # (queue_cap, overload_policy, inline_flush, cost_model, clock,
-        # deadline_margin_s) without re-declaring them.
+        # scheduler_kwargs forwards the admission-control knobs
+        # (queue_cap, overload_policy, inline_flush) and the clock
+        # without re-declaring them.
         self.scheduler = BatchScheduler(
             self._dispatch,
             max_batch=max_batch,

@@ -11,9 +11,8 @@ into one flush when either
   or by the deadline thread with ``inline_flush=False``),
 * the oldest queued request has waited ``max_wait_s``,
 * a queued request's **deadline slack** is about to be consumed — the
-  deadline thread predicts the flush's wall time with
-  :class:`FlushCostModel` (live :class:`~repro.serving.api.ServingStats`
-  service percentiles, discounted by the story-cache hit rate) and
+  deadline thread predicts the flush's wall time from the p95 of the
+  flush times recorded in :class:`~repro.serving.api.ServingStats` and
   flushes just early enough to land inside the tightest
   ``QueryRequest.deadline_s`` budget, or
 * the caller forces it (``flush()`` / ``close()`` / context-manager
@@ -91,39 +90,16 @@ class _Pending:
     deadline_at: float | None = None
 
 
-@dataclass(frozen=True)
-class FlushCostModel:
-    """Predicts the next flush's wall time from live serving statistics.
-
-    The deadline thread flushes a deadline-carrying queue at
-    ``earliest_deadline - estimate - margin`` instead of the fixed
-    ``max_wait_s``, so the estimate is what buys extra batching time.
-    Base estimate: the p95 of observed per-flush service times (a
-    conservative percentile — landing late breaks the SLO, landing
-    early only shrinks the batch). The story-encoding cache's hit rate
-    then discounts it: a cache hit skips the memory-write phase
-    (Eqs. 1–2), which dominates a miss-only flush (the latency
-    bimodality PR 7 measured), so a hit-heavy request mix predicts a
-    cheaper flush and can keep batching longer before its deadline
-    forces the flush. ``write_share`` is the assumed fraction of a
-    miss-only flush spent writing memory; ``safety_factor`` inflates
-    the whole estimate against scheduling jitter. Until ``min_samples``
-    flushes have been observed the model returns ``cold_estimate_s``.
-    """
-
-    write_share: float = 0.6
-    safety_factor: float = 1.25
-    cold_estimate_s: float = 0.002
-    min_samples: int = 3
-
-    def estimate_s(self, stats: ServingStats) -> float:
-        if stats.flushes < self.min_samples:
-            return self.cold_estimate_s
-        p95 = stats.p95_service_s
-        if p95 <= 0.0:
-            return self.cold_estimate_s
-        discount = 1.0 - self.write_share * stats.cache_hit_rate
-        return p95 * discount * self.safety_factor
+#: The deadline thread's flush-time prediction: a cold guess until
+#: ``_WARM_FLUSHES`` flushes are recorded, then the p95 of the recorded
+#: flush times (landing late breaks the SLO, landing early only shrinks
+#: the batch) times ``_SAFETY_FACTOR`` against scheduling jitter. The
+#: queue flushes that long, plus ``_DEADLINE_MARGIN_S``, before its
+#: tightest deadline.
+_COLD_FLUSH_S = 0.002
+_WARM_FLUSHES = 3
+_SAFETY_FACTOR = 1.25
+_DEADLINE_MARGIN_S = 0.0005
 
 
 class BatchScheduler:
@@ -151,8 +127,6 @@ class BatchScheduler:
         queue_cap: int | None = None,
         overload_policy: str = "block",
         inline_flush: bool = True,
-        cost_model: FlushCostModel | None = None,
-        deadline_margin_s: float = 0.0005,
         clock: Clock = MONOTONIC,
     ):
         if max_batch < 1:
@@ -172,8 +146,6 @@ class BatchScheduler:
         self.queue_cap = int(queue_cap) if queue_cap is not None else None
         self.overload_policy = overload_policy
         self.inline_flush = bool(inline_flush)
-        self.cost_model = cost_model or FlushCostModel()
-        self.deadline_margin_s = float(deadline_margin_s)
         self.clock = clock
         self.stats = ServingStats()
         self._pending: list[_Pending] = []
@@ -297,31 +269,29 @@ class BatchScheduler:
                 raise SchedulerClosedError("scheduler is closed")
         return True
 
-    def _drop_expired_locked(self) -> int:
+    def _drop_expired_locked(self) -> bool:
         """Evict queued requests whose deadline already passed (caller
-        holds ``_cond``); their futures resolve with
-        :class:`DeadlineExceededError`. Returns the eviction count."""
-        now = self.clock.now()
-        expired = [
-            p
-            for p in self._pending
-            if p.deadline_at is not None and now >= p.deadline_at
-        ]
-        if not expired:
-            return 0
-        dead = set(map(id, expired))
-        self._pending = [p for p in self._pending if id(p) not in dead]
-        dropped = self._resolve_expired(expired)
+        holds ``_cond``). Returns whether any left the queue."""
+        queued = len(self._pending)
+        self._pending = self._expire(self._pending)
+        if len(self._pending) == queued:
+            return False
         if self._pending_has_room_locked():
             self._notify_room_locked()
-        return dropped
+        return True
 
-    def _resolve_expired(self, expired: list[_Pending]) -> int:
-        """Resolve already-dequeued expired requests; returns how many
-        actually resolved (a concurrently cancelled future is skipped)."""
+    def _expire(self, entries: list[_Pending]) -> list[_Pending]:
+        """Resolve each entry whose deadline has passed with
+        :class:`DeadlineExceededError` and return the rest, in order.
+        The clock is read once, and a spent budget counts as expired. An
+        expired future a caller already cancelled is dropped uncounted."""
+        now = self.clock.now()
+        live = []
         dropped = 0
-        for pending in expired:
-            if pending.future.set_running_or_notify_cancel():
+        for pending in entries:
+            if pending.deadline_at is None or now < pending.deadline_at:
+                live.append(pending)
+            elif pending.future.set_running_or_notify_cancel():
                 pending.future.set_exception(
                     DeadlineExceededError(
                         f"deadline budget of {pending.request.deadline_s}s "
@@ -332,7 +302,7 @@ class BatchScheduler:
         if dropped:
             with self._stats_lock:
                 self.stats.record_expired(dropped)
-        return dropped
+        return live
 
     def add_room_callback(self, callback) -> None:
         """Register a one-shot wakeup fired when a dequeue frees queue
@@ -435,7 +405,7 @@ class BatchScheduler:
 
     def _worker_loop(self) -> None:
         """Flush queues whose oldest request aged past max_wait_s — or
-        whose tightest deadline slack the predicted flush cost is about
+        whose tightest deadline slack the predicted flush time is about
         to consume (the SLO-aware early flush)."""
         while True:
             with self._cond:
@@ -461,10 +431,8 @@ class BatchScheduler:
     def _due_at_locked(self) -> float:
         """The instant the queue must flush (caller holds ``_cond``):
         the oldest request's ``max_wait_s`` budget, tightened by any
-        deadline — flush at ``deadline - predicted flush cost - margin``
-        so the answer lands inside the budget. A hit-heavy mix (high
-        cache hit rate) predicts a cheaper flush, so deadline-carrying
-        queues batch longer exactly when the cache makes that safe."""
+        deadline — flush :meth:`_flush_lead_s` before it so the answer
+        lands inside the budget."""
         due = self._pending[0].submitted_at + self.max_wait_s
         earliest = None
         for pending in self._pending:
@@ -473,10 +441,18 @@ class BatchScheduler:
             ):
                 earliest = pending.deadline_at
         if earliest is not None:
-            with self._stats_lock:
-                estimate = self.cost_model.estimate_s(self.stats)
-            due = min(due, earliest - estimate - self.deadline_margin_s)
+            due = min(due, earliest - self._flush_lead_s())
         return due
+
+    def _flush_lead_s(self) -> float:
+        """The predicted flush wall time plus the deadline margin. The
+        p95 of recorded flush times already includes any story-cache
+        hits, so nothing discounts it further."""
+        with self._stats_lock:
+            if self.stats.flushes < _WARM_FLUSHES:
+                return _COLD_FLUSH_S + _DEADLINE_MARGIN_S
+            p95 = self.stats.p95_service_s
+        return p95 * _SAFETY_FACTOR + _DEADLINE_MARGIN_S
 
     def note_safety_net_wakeup(self) -> None:
         """Count one lost-wakeup safety-net firing (async frontend)."""
@@ -489,16 +465,7 @@ class BatchScheduler:
                 # An expired request cannot meet its deadline whatever
                 # we do; spending batch capacity on it only endangers
                 # the live ones. Resolve it typed, serve the rest.
-                now = self.clock.now()
-                expired = [
-                    p
-                    for p in batch
-                    if p.deadline_at is not None and now >= p.deadline_at
-                ]
-                if expired:
-                    self._resolve_expired(expired)
-                    dead = set(map(id, expired))
-                    batch = [p for p in batch if id(p) not in dead]
+                batch = self._expire(batch)
             # Transition every future to RUNNING first: a future the
             # caller already cancelled drops out here, and the rest can
             # no longer be cancelled, so set_result/set_exception below
@@ -515,21 +482,8 @@ class BatchScheduler:
                 self.stats.record_flush(
                     len(batch), service_s=self.clock.now() - started
                 )
-            self._sync_cache_stats()
         finally:
             self._retire_ticket(ticket)
-
-    def _sync_cache_stats(self) -> None:
-        """Mirror the predictor's cumulative story-cache counters into
-        ``stats`` (no-op for predictors without the hook / a cache)."""
-        counters_hook = getattr(self.predictor, "cache_counters", None)
-        if counters_hook is None:
-            return
-        counters = counters_hook()
-        if counters is None:
-            return
-        with self._stats_lock:
-            self.stats.set_cache_counters(*counters)
 
     def _resolve_batch(
         self,

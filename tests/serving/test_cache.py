@@ -47,7 +47,8 @@ def _suite_requests(suite, tasks=(1, 6)):
 
 def _serve_twice(artifacts_dir, requests, **kwargs):
     """Serve the same stream twice through one router: pass 1 is the
-    cold cache (all misses), pass 2 replays every story (all hits)."""
+    cold cache (all misses), pass 2 replays every story (all hits).
+    Also returns each route's story cache (None when caching is off)."""
     with ModelRouter.open(
         artifacts_dir, max_batch=8, start_worker=False, **kwargs
     ) as router:
@@ -56,8 +57,8 @@ def _serve_twice(artifacts_dir, requests, **kwargs):
             futures = [router.submit(r) for r in requests]
             router.flush()
             passes.append([f.result(timeout=60.0) for f in futures])
-        stats = router.stats
-    return passes[0], passes[1], stats
+        caches = [router.predictor(task).cache for task in router.tasks]
+    return passes[0], passes[1], caches
 
 
 def _assert_identical(expected, actual):
@@ -82,13 +83,14 @@ class TestGoldenParityMatrix:
         kwargs = dict(mips_backend=backend, seed=0)
         baseline, replay, _ = _serve_twice(artifacts_dir, requests, **kwargs)
         _assert_identical(baseline, replay)  # sanity: model is deterministic
-        cold, hot, stats = _serve_twice(
+        cold, hot, caches = _serve_twice(
             artifacts_dir, requests, cache_entries=256, **kwargs
         )
         _assert_identical(baseline, cold)  # miss path == no cache
         _assert_identical(baseline, hot)  # hit path == no cache
-        assert stats.cache_misses > 0
-        assert stats.cache_hits > 0  # one cache per route: the replay hits
+        for cache in caches:
+            assert cache.stats.misses > 0
+            assert cache.stats.hits > 0  # one cache per route: the replay hits
 
     def test_direct_predictor_replay_hits(self, artifacts_dir):
         """open_predictor(cache_entries=...) alone caches across calls."""
@@ -389,11 +391,3 @@ class TestServingStatsReservoir:
         stats.record_latencies([0.25, 0.5])
         assert stats.batch_sizes == [4]
         assert stats.latencies_s == [0.25, 0.5]
-
-    def test_cache_counter_mirror(self):
-        stats = ServingStats()
-        assert stats.cache_hit_rate == 0.0
-        stats.set_cache_counters(30, 10, 2)
-        assert stats.cache_lookups == 40
-        assert stats.cache_hit_rate == pytest.approx(0.75)
-        assert stats.cache_evictions == 2

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.serving import MONOTONIC, Clock, ManualClock
@@ -21,24 +19,6 @@ class TestClock:
         assert clock.deadline_at(None) is None
         assert clock.deadline_at(2.5) == 12.5
         assert clock.deadline_at(2.5, start=100.0) == 102.5
-
-    def test_remaining_and_expired(self):
-        clock = ManualClock()
-        deadline = clock.deadline_at(1.0)
-        assert clock.remaining_s(deadline) == 1.0
-        assert not clock.expired(deadline)
-        clock.advance(1.0)
-        assert clock.remaining_s(deadline) == 0.0
-        assert clock.expired(deadline)  # a spent budget counts as expired
-        clock.advance(0.5)
-        assert clock.remaining_s(deadline) == -0.5
-
-    def test_no_deadline_never_expires(self):
-        clock = ManualClock()
-        assert clock.remaining_s(None) == math.inf
-        assert not clock.expired(None)
-        clock.advance(1e9)
-        assert not clock.expired(None)
 
     def test_manual_clock_only_moves_forward(self):
         clock = ManualClock()

@@ -24,13 +24,11 @@ from repro.serving import (
     AsyncFrontend,
     BatchScheduler,
     DeadlineExceededError,
-    FlushCostModel,
     ManualClock,
     ModelRouter,
     OverloadError,
     QueryRequest,
     QueryResponse,
-    ServingStats,
 )
 
 
@@ -282,10 +280,7 @@ class TestDeadlineAwareFlush:
 
     def test_deadline_flushes_long_before_max_wait(self):
         stub = StubPredictor()
-        scheduler = BatchScheduler(
-            stub, max_batch=32, max_wait_s=10.0,
-            cost_model=FlushCostModel(cold_estimate_s=0.005),
-        )
+        scheduler = BatchScheduler(stub, max_batch=32, max_wait_s=10.0)
 
         async def run():
             async with AsyncFrontend(scheduler) as frontend:
@@ -308,21 +303,27 @@ class TestDeadlineAwareFlush:
         assert scheduler.stats.deadline_missed == 0
         assert scheduler.stats.goodput_rate == 1.0
 
-    def test_cost_model_cold_and_warm_estimates(self):
-        model = FlushCostModel(
-            write_share=0.5, safety_factor=2.0, cold_estimate_s=0.003,
-            min_samples=2,
+    def test_flush_lead_cold_and_warm(self):
+        """A deadline-carrying queue flushes a lead before its tightest
+        deadline: a cold 2 ms until 3 flushes are recorded, then the
+        p95 flush time x 1.25; plus a 0.5 ms margin either way."""
+        scheduler = BatchScheduler(
+            StubPredictor(), max_wait_s=10.0, start_worker=False,
+            clock=ManualClock(),
         )
-        stats = ServingStats()
-        assert model.estimate_s(stats) == 0.003  # no flushes yet: cold
-        stats.record_flush(4, service_s=0.010)
-        assert model.estimate_s(stats) == 0.003  # still below min_samples
-        stats.record_flush(4, service_s=0.010)
-        # Warm, no cache hits: p95 * safety = 0.010 * 2.0.
-        assert model.estimate_s(stats) == pytest.approx(0.020)
-        # A hit-heavy mix discounts the write phase: * (1 - 0.5 * 0.75).
-        stats.set_cache_counters(hits=3, misses=1, evictions=0)
-        assert model.estimate_s(stats) == pytest.approx(0.020 * 0.625)
+        scheduler.submit(_request(0, deadline_s=1.0))
+
+        def lead_s() -> float:
+            with scheduler._cond:
+                return 1.0 - scheduler._due_at_locked()
+
+        assert lead_s() == pytest.approx(0.002 + 0.0005)  # no flushes: cold
+        for _ in range(2):
+            scheduler.stats.record_flush(4, service_s=0.010)
+        assert lead_s() == pytest.approx(0.002 + 0.0005)  # still cold
+        scheduler.stats.record_flush(4, service_s=0.010)
+        assert lead_s() == pytest.approx(0.010 * 1.25 + 0.0005)
+        scheduler.close()
 
     def test_shed_expired_resolves_with_typed_error(self):
         """Budget spent in the queue → DeadlineExceededError, and the

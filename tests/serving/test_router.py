@@ -468,43 +468,3 @@ class TestMalformedRequests:
                 error = future.exception(timeout=10.0)
                 assert isinstance(error, InvalidRequestError), (kind, error)
                 assert MALFORMED[kind] in str(error), (kind, error)
-
-
-def _cache_mirror(stats) -> tuple[int, int, int]:
-    return stats.cache_hits, stats.cache_misses, stats.cache_evictions
-
-
-class TestCacheMirrors:
-    def test_only_cached_routes_mirror_their_cache(self, mixed_suite):
-        """Stacked uncached routes plus one story-cached route: after
-        every flush the cached route's ``route_stats`` hits, misses and
-        evictions equal its cache's counters, the uncached routes'
-        mirrors stay 0, and ``router.stats`` mirrors the cached route."""
-        routes = {
-            route: open_predictor(
-                mixed_suite,
-                _model_task(route),
-                cache_entries=4 if route == "cached" else None,
-            )
-            for route in ROUTES
-        }
-        rng = np.random.default_rng(7)
-        with ModelRouter(routes, max_batch=64, start_worker=False) as router:
-            cache = router.predictor("cached").cache
-            for _ in range(6):
-                draws = rng.integers(0, [len(ROUTES), 12], (10, 2)).tolist()
-                futures = [
-                    router.submit(
-                        _request(mixed_suite, _model_task(ROUTES[j]), i, ROUTES[j])
-                    )
-                    for j, i in draws
-                ]
-                router.flush()
-                assert all(f.exception(timeout=10.0) is None for f in futures)
-                counters = cache.counters()
-                assert _cache_mirror(router.route_stats["cached"]) == counters
-                for task in mixed_suite.task_ids:
-                    assert _cache_mirror(router.route_stats[task]) == (0, 0, 0)
-                assert _cache_mirror(router.stats) == counters
-            hits, misses, evictions = counters
-        assert hits > 0 and misses > 0 and evictions > 0

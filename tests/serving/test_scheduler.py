@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.serving import (
     QueryRequest,
     QueryResponse,
     SchedulerClosedError,
+    SoftwarePredictor,
     open_predictor,
 )
 
@@ -320,6 +322,56 @@ class TestWithRealPredictor:
         assert scheduler.stats.mean_batch_size > 1.0
 
 
+class SixMsFlushes(SoftwarePredictor):
+    """A real story-cached software predictor whose every flush takes
+    6 ms on a :class:`ManualClock`."""
+
+    def __init__(self, engine, clock: ManualClock):
+        super().__init__(engine)
+        self.clock = clock
+
+    def predict_batch(self, requests):
+        responses = super().predict_batch(requests)
+        self.clock.advance(0.006)
+        return responses
+
+
+class TestDeadlineOnCachedRoute:
+    def test_cache_hits_do_not_flush_a_deadline_late(self, tiny_suite):
+        """The recorded 6 ms flushes already include the story-cache
+        hits, so a 25 ms budget must flush at least 6 ms before its
+        deadline (here p95 x 1.25 + 0.5 ms = 8 ms: answered at 23 ms).
+        Discounting the p95 again by a 90% hit rate flushed it 3.95 ms
+        early, and answered it at 27.05 ms."""
+        clock = ManualClock()
+        engine = open_predictor(tiny_suite, 1, cache_entries=16).engine
+        predictor = SixMsFlushes(engine, clock)
+        batch = tiny_suite.tasks[1].test_batch
+        requests = [
+            QueryRequest(
+                batch.stories[i], batch.questions[i], int(batch.story_lengths[i])
+            )
+            for i in range(4)
+        ]
+        scheduler = BatchScheduler(
+            predictor, max_wait_s=1.0, start_worker=False, clock=clock
+        )
+        for _ in range(10):  # one cold flush, then every story replays
+            futures = [scheduler.submit(r) for r in requests]
+            scheduler.flush()
+            assert all(f.exception() is None for f in futures)
+        assert predictor.cache.stats.hit_rate >= 0.85
+        urgent = scheduler.submit(replace(requests[0], deadline_s=0.025))
+        with scheduler._cond:
+            due = scheduler._due_at_locked()  # what the deadline thread waits for
+        clock.advance(due - clock.now())
+        scheduler.flush()
+        assert urgent.result().latency_s <= 0.025
+        assert scheduler.stats.deadline_met == 1
+        assert scheduler.stats.deadline_missed == 0
+        scheduler.close()
+
+
 class OrderRecordingStub:
     """Records every flushed batch's request ids, in completion order."""
 
@@ -434,7 +486,10 @@ class TestAdmissionControl:
         scheduler.close()  # flushes the admitted request
         assert scheduler.stats.offered == 2  # 1 served + 1 shed
 
-    def test_shed_expired_evicts_at_admission(self):
+    @pytest.mark.parametrize("advance", [1.0, 2.0])
+    def test_shed_expired_evicts_at_admission(self, advance):
+        """An advance of exactly the 1 s budget expires it too: a spent
+        budget counts as expired."""
         clock = ManualClock()
         stub = StubPredictor()
         scheduler = BatchScheduler(
@@ -444,7 +499,7 @@ class TestAdmissionControl:
         doomed = [
             scheduler.submit(_request(i, deadline_s=1.0)) for i in range(2)
         ]
-        clock.advance(2.0)
+        clock.advance(advance)
         live = scheduler.submit(_request(2))  # full queue, but all expired
         for future in doomed:
             assert isinstance(future.exception(), DeadlineExceededError)

@@ -7,6 +7,8 @@ directory through ``--artifacts`` — exercising exactly the
 no-retraining path the serving API exists for.
 """
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -163,6 +165,21 @@ class TestServingCommands:
         assert "scheduler (max_batch=8)" in out
         assert "micro-batching speedup" in out
         assert "per-route requests: task 1: 32" in out
+
+    def test_serve_bench_story_cache_line(self, cli_artifacts, capsys):
+        """The cache line sums the routes' own story caches."""
+        code = main(
+            [
+                "serve-bench", "--artifacts", cli_artifacts,
+                "--requests", "64", "--max-batch", "8",
+                "--cache-entries", "16", "--zipf", "1.2",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        match = re.search(r"story cache: hit rate [\d.]+% \((\d+) hits / ", out)
+        assert match is not None, out
+        assert int(match.group(1)) > 0
 
     def test_train_quantize_and_query_quantized(self, tmp_path, capsys):
         directory = str(tmp_path / "qsuite")
