@@ -11,7 +11,9 @@ individually submitted requests with
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -137,14 +139,24 @@ class _Reservoir:
     """Bounded uniform sample with exact count / sum / max.
 
     Soak loads push millions of values through the stats; an unbounded
-    list is a slow memory leak. Algorithm-R reservoir sampling keeps a
-    fixed-size uniform sample for percentile estimates while the count,
-    sum and maximum stay exact (so ``mean``/``max`` never degrade).
-    The replacement RNG is seeded deterministically — statistics of a
-    fixed request stream are reproducible run to run.
+    list is a slow memory leak. Reservoir sampling keeps a fixed-size
+    uniform sample for percentile estimates while the count, sum and
+    maximum stay exact (so ``mean``/``max`` never degrade).
+
+    The sampler is Li's Algorithm L (ACM TOMS 1994): once the sample is
+    full it draws how many values to pass over before the next one
+    enters, so a value that does not enter costs a counter step and no
+    random draw. Over ``n`` values it draws ``O(k log(n / k))`` times,
+    where Algorithm R drew once per value. The RNG is seeded
+    deterministically — statistics of a fixed request stream are
+    reproducible run to run. A percentile is computed once per state of
+    the sample and kept until a value enters it.
     """
 
-    __slots__ = ("capacity", "count", "total", "maximum", "_sample", "_rng")
+    __slots__ = (
+        "capacity", "count", "total", "maximum",
+        "_sample", "_rng", "_log_w", "_next", "_percentiles",
+    )
 
     def __init__(self, capacity: int, seed: int = 0x5EED):
         self.capacity = int(capacity)
@@ -153,22 +165,44 @@ class _Reservoir:
         self.maximum = 0.0
         self._sample: list[float] = []
         self._rng = random.Random(seed)
+        self._log_w = 0.0  # log of Algorithm L's W
+        self._next = self.capacity  # number of the next value to enter
+        self._percentiles: dict[float, float] = {}
 
     def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.maximum:
-            self.maximum = value
-        if len(self._sample) < self.capacity:
-            self._sample.append(value)
-        else:
-            j = self._rng.randrange(self.count)
-            if j < self.capacity:
-                self._sample[j] = value
+        self.extend((value,))
 
     def extend(self, values) -> None:
-        for value in values:
-            self.add(value)
+        values = list(values)
+        if not values:
+            return
+        first = self.count  # values[i] is value number first + i + 1
+        self.count += len(values)
+        self.total += sum(values)
+        top = max(values)
+        if top > self.maximum:
+            self.maximum = top
+        sample = self._sample
+        if len(sample) < self.capacity:
+            sample.extend(values[: self.capacity - len(sample)])
+            self._percentiles.clear()
+            if len(sample) < self.capacity:
+                return
+            self._skip()
+        while self._next <= self.count:
+            sample[self._rng.randrange(self.capacity)] = values[self._next - first - 1]
+            self._percentiles.clear()
+            self._skip()
+
+    def _skip(self) -> None:
+        """Shrink W by a Beta(k, 1) factor and pass over a geometric
+        number of values (success probability W) to the next entrant.
+        ``1 - random()`` lies in (0, 1], so each log is finite; 1 - W is
+        floored at the smallest normal float, where the skip is 0."""
+        draw = self._rng.random
+        self._log_w += math.log(1.0 - draw()) / self.capacity
+        spare = max(-math.expm1(self._log_w), sys.float_info.min)
+        self._next += int(math.log(1.0 - draw()) / math.log(spare)) + 1
 
     @property
     def mean(self) -> float:
@@ -183,7 +217,10 @@ class _Reservoir:
         estimated from the uniform sample beyond it."""
         if not self._sample:
             return 0.0
-        return float(np.percentile(self._sample, q))
+        value = self._percentiles.get(q)
+        if value is None:
+            value = self._percentiles[q] = float(np.percentile(self._sample, q))
+        return value
 
 
 @dataclass
@@ -310,16 +347,14 @@ class ServingStats:
 
     # -- SLO / deadline accounting -------------------------------------
     @property
-    def service_s(self) -> list[float]:
-        """Per-flush execution wall times (bounded sample)."""
-        return self._service.sample
-
-    @property
     def mean_service_s(self) -> float:
         return self._service.mean
 
     @property
     def p95_service_s(self) -> float:
+        """The p95 flush wall time. The deadline thread reads it on every
+        deadline-carrying wake; it is recomputed only after a flush time
+        enters the sample."""
         return self._service.percentile(95.0)
 
     @property

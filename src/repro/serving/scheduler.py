@@ -49,7 +49,18 @@ from the pending queue is strictly FIFO (every flush takes a contiguous
 run of requests in submission order), and flushes also *complete* in
 dequeue order: a ticket assigned at dequeue time serialises execution,
 so two racing flushers cannot complete newer requests before older
-ones. Responses within a flush resolve in submission order.
+ones. Responses within a flush resolve in submission order, in the
+same pass that measures their latencies; the flush's statistics land
+together once its futures are resolved.
+
+**The future.** ``submit()`` returns a private subclass of
+:class:`concurrent.futures.Future`, so ``asyncio.wrap_future``,
+``concurrent.futures.wait``/``as_completed``, callbacks and cancellation
+all work as usual. Each future holds one lock and builds its
+``threading.Condition`` over it only when a thread must wait: a
+``result()``/``exception()`` on a pending future, ``cancel()``, or
+``wait``/``as_completed``. A caller that only adds a done-callback, and
+reads the result once it has fired, never builds one.
 
 All timestamps (submission, deadlines, latencies, per-flush service
 time) come from one :class:`~repro.serving.clock.Clock`, so the
@@ -66,6 +77,16 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
+
+# The subclass below keeps the base class's state machine and fields.
+from concurrent.futures._base import (
+    CANCELLED,
+    CANCELLED_AND_NOTIFIED,
+    FINISHED,
+    LOGGER,
+    PENDING,
+    RUNNING,
+)
 from dataclasses import dataclass, replace
 
 from repro.serving.api import (
@@ -81,8 +102,105 @@ from repro.serving.errors import InvalidRequestError, SchedulerClosedError
 
 OVERLOAD_POLICIES = ("block", "shed", "shed-expired")
 
+_DONE_STATES = (CANCELLED, CANCELLED_AND_NOTIFIED, FINISHED)
 
-@dataclass
+
+class _LazyFuture(Future):
+    """A :class:`concurrent.futures.Future` that builds its Condition
+    only when a thread must wait.
+
+    The base class builds a Python-level ``threading.Condition`` per
+    future and enters it on every call. This one holds one C
+    ``threading.RLock`` and builds the Condition over that lock, under
+    it, on the first read of ``_condition``: a ``result()`` or
+    ``exception()`` on a pending future, ``cancel()``,
+    ``concurrent.futures.wait``/``as_completed``, or a rare path handed
+    to the base class. The overrides below take only the lock on their
+    common path and notify the Condition only if it exists; a waiter
+    builds it under the lock before it sleeps, so no wakeup is lost.
+    Each future has its own Condition, never a shared one.
+    """
+
+    def __init__(self):
+        # Not Future.__init__: it would build the Condition.
+        self._lock = threading.RLock()
+        self._cond = None
+        self._state = PENDING
+        self._result = None
+        self._exception = None
+        self._waiters = []
+        self._done_callbacks = []
+
+    @property
+    def _condition(self) -> threading.Condition:
+        with self._lock:
+            if self._cond is None:
+                self._cond = threading.Condition(self._lock)
+            return self._cond
+
+    def cancelled(self) -> bool:
+        with self._lock:
+            return self._state in (CANCELLED, CANCELLED_AND_NOTIFIED)
+
+    def done(self) -> bool:
+        with self._lock:
+            return self._state in _DONE_STATES
+
+    def result(self, timeout=None):
+        with self._lock:
+            if self._state == FINISHED and self._exception is None:
+                return self._result
+        return super().result(timeout)
+
+    def exception(self, timeout=None):
+        with self._lock:
+            if self._state == FINISHED:
+                return self._exception
+        return super().exception(timeout)
+
+    def add_done_callback(self, fn) -> None:
+        with self._lock:
+            if self._state not in _DONE_STATES:
+                self._done_callbacks.append(fn)
+                return
+        try:
+            fn(self)
+        except Exception:
+            LOGGER.exception("exception calling callback for %r", self)
+
+    def set_running_or_notify_cancel(self) -> bool:
+        with self._lock:
+            if self._state == PENDING:
+                self._state = RUNNING
+                return True
+        return super().set_running_or_notify_cancel()
+
+    def set_result(self, result) -> None:
+        with self._lock:
+            if self._state in _DONE_STATES:
+                return super().set_result(result)  # raises InvalidStateError
+            self._result = result
+            self._state = FINISHED
+            for waiter in self._waiters:
+                waiter.add_result(self)
+            if self._cond is not None:
+                self._cond.notify_all()
+        self._invoke_callbacks()
+
+    def set_exception(self, exception) -> None:
+        with self._lock:
+            if self._state in _DONE_STATES:
+                return super().set_exception(exception)  # raises
+            self._exception = exception
+            self._state = FINISHED
+            for waiter in self._waiters:
+                waiter.add_exception(self)
+            if self._cond is not None:
+                self._cond.notify_all()
+        self._invoke_callbacks()
+
+
+@dataclass(slots=True)
 class _Pending:
     request: QueryRequest
     future: Future
@@ -149,15 +267,18 @@ class BatchScheduler:
         self.clock = clock
         self.stats = ServingStats()
         self._pending: list[_Pending] = []
-        self._cond = threading.Condition()
+        # _lock guards the queue and its flags; _cond, over the same
+        # lock, is only for waiting and notifying.
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._stats_lock = threading.Lock()
         self._closed = False
-        #: One-shot callbacks fired (under _cond) whenever a dequeue
+        #: One-shot callbacks fired (under _lock) whenever a dequeue
         #: frees queue room — the asyncio frontend's wakeup channel.
         #: Callbacks must be cheap and must NOT call back into the
-        #: scheduler synchronously (they run with _cond held).
+        #: scheduler synchronously (they run with _lock held).
         self._room_callbacks: list = []
-        # FIFO tickets: assigned at dequeue time (under _cond, where
+        # FIFO tickets: assigned at dequeue time (under _lock, where
         # submission order is defined), retired when the flush is done.
         # Flushes execute in ticket order, which pins completion order
         # = dequeue order = submission order.
@@ -192,13 +313,13 @@ class BatchScheduler:
         return self._submit(request, may_block=False)
 
     def _submit(self, request: QueryRequest, may_block: bool) -> Future:
-        future: Future = Future()
+        future = _LazyFuture()
         while True:
             batch: list[_Pending] = []
             ticket = None
             drain: list[_Pending] = []
             drain_ticket = None
-            with self._cond:
+            with self._lock:
                 if self._closed:
                     raise SchedulerClosedError("scheduler is closed")
                 if not self._admit_locked(may_block):
@@ -236,7 +357,7 @@ class BatchScheduler:
             return future
 
     def _admit_locked(self, may_block: bool) -> bool:
-        """Wait for / make queue room (caller holds ``_cond``).
+        """Wait for / make queue room (caller holds ``_lock``).
 
         Returns True when the request may enqueue now, False when the
         caller should drain a batch itself (manual-mode backpressure).
@@ -271,7 +392,7 @@ class BatchScheduler:
 
     def _drop_expired_locked(self) -> bool:
         """Evict queued requests whose deadline already passed (caller
-        holds ``_cond``). Returns whether any left the queue."""
+        holds ``_lock``). Returns whether any left the queue."""
         queued = len(self._pending)
         self._pending = self._expire(self._pending)
         if len(self._pending) == queued:
@@ -311,7 +432,7 @@ class BatchScheduler:
         must not call back into the scheduler — the asyncio frontend
         passes ``loop.call_soon_threadsafe`` wrappers, nothing else."""
         fire = False
-        with self._cond:
+        with self._lock:
             if self._closed or self._pending_has_room_locked():
                 fire = True  # already room (or never coming): wake now
             else:
@@ -323,7 +444,7 @@ class BatchScheduler:
         return self.queue_cap is None or len(self._pending) < self.queue_cap
 
     def _notify_room_locked(self) -> None:
-        """Wake admission waiters after a dequeue (caller holds _cond)."""
+        """Wake admission waiters after a dequeue (caller holds _lock)."""
         if self.queue_cap is None:
             return
         self._cond.notify_all()
@@ -334,7 +455,7 @@ class BatchScheduler:
     def flush(self) -> None:
         """Drain every queued request now, in the calling thread."""
         while True:
-            with self._cond:
+            with self._lock:
                 batch, ticket = self._take_locked(self.max_batch)
             if not batch:
                 return
@@ -345,7 +466,7 @@ class BatchScheduler:
         Idempotent. A max-batch flush from a racing ``submit()`` may
         still be in flight when this returns; it resolves its own
         futures."""
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._cond.notify_all()
             # Wake async admission waiters too: room is never coming,
@@ -366,12 +487,12 @@ class BatchScheduler:
 
     @property
     def pending(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._pending)
 
     # -- flush machinery -----------------------------------------------
     def _take_locked(self, limit: int) -> tuple[list[_Pending], int | None]:
-        """FIFO-dequeue up to ``limit`` requests (caller holds _cond).
+        """FIFO-dequeue up to ``limit`` requests (caller holds _lock).
 
         This is the *only* place requests leave the queue, and it takes
         a contiguous head slice — the FIFO-dequeue guarantee. A ticket
@@ -408,7 +529,7 @@ class BatchScheduler:
         whose tightest deadline slack the predicted flush time is about
         to consume (the SLO-aware early flush)."""
         while True:
-            with self._cond:
+            with self._lock:
                 while not self._pending and not self._closed:
                     self._cond.wait()
                 if self._closed:
@@ -429,7 +550,7 @@ class BatchScheduler:
             self._execute(batch, ticket)
 
     def _due_at_locked(self) -> float:
-        """The instant the queue must flush (caller holds ``_cond``):
+        """The instant the queue must flush (caller holds ``_lock``):
         the oldest request's ``max_wait_s`` budget, tightened by any
         deadline — flush :meth:`_flush_lead_s` before it so the answer
         lands inside the budget."""
@@ -471,67 +592,60 @@ class BatchScheduler:
             # no longer be cancelled, so set_result/set_exception below
             # cannot raise InvalidStateError (which would kill the
             # flushing thread and strand the remaining futures).
-            batch = [p for p in batch if p.future.set_running_or_notify_cancel()]
-            if not batch:
-                return
-            started = self.clock.now()
-            # Ticket order makes completion FIFO across racing flushers.
-            self._await_turn(ticket)
-            self._run_batch(batch)
-            with self._stats_lock:
-                self.stats.record_flush(
-                    len(batch), service_s=self.clock.now() - started
-                )
+            running, requests = [], []
+            for pending in batch:
+                if pending.future.set_running_or_notify_cancel():
+                    running.append(pending)
+                    requests.append(pending.request)
+            if running:
+                started = self.clock.now()
+                # Ticket order makes completion FIFO across racing flushers.
+                self._await_turn(ticket)
+                self._run_batch(running, requests, started)
         finally:
             self._retire_ticket(ticket)
 
-    def _resolve_batch(
-        self,
-        batch: list[_Pending],
-        responses: list[QueryResponse | InvalidRequestError],
+    def _run_batch(
+        self, batch: list[_Pending], requests: list[QueryRequest], started: float
     ) -> None:
-        """Resolve one answered flush: latency + deadline-attainment
-        accounting, then the futures, in submission order. A row the
+        """Answer one flush and resolve its futures in submission order,
+        measuring each latency and deadline outcome in the same pass;
+        the flush's statistics then land in one update. A row the
         predictor rejected resolves with its
-        :class:`~repro.serving.errors.InvalidRequestError` and, like a
-        failed flush, counts in neither statistic."""
-        done = self.clock.now()
+        :class:`~repro.serving.errors.InvalidRequestError`, and a
+        predictor exception resolves every future of the flush with it
+        instead of propagating; neither counts in the latency or
+        deadline statistics."""
         latencies = []
         met = missed = 0
-        for pending, response in zip(batch, responses):
-            if isinstance(response, InvalidRequestError):
-                continue
-            latencies.append(done - pending.submitted_at)
-            if pending.deadline_at is not None:
-                if done <= pending.deadline_at:
-                    met += 1
-                else:
-                    missed += 1
-        with self._stats_lock:
-            self.stats.record_latencies(latencies)
-            self.stats.record_deadline_outcomes(met, missed)
-        for pending, response in zip(batch, responses):
-            if isinstance(response, InvalidRequestError):
-                pending.future.set_exception(response)
-                continue
-            latency = done - pending.submitted_at
-            if response.latency_s is None:
-                # A fresh response from the predictor: stamp it in place
-                # rather than building it a second time. One the caller
-                # may already hold (stamped before) is copied instead.
-                response.__dict__["latency_s"] = latency
-            else:
-                response = replace(response, latency_s=latency)
-            pending.future.set_result(response)
-
-    def _run_batch(self, batch: list[_Pending]) -> None:
-        """Answer one flush, resolving its futures in order. A predictor
-        exception resolves every future of the flush with it instead of
-        propagating."""
         try:
-            responses = self.predictor.predict_batch([p.request for p in batch])
+            responses = self.predictor.predict_batch(requests)
         except Exception as error:
             for pending in batch:
                 pending.future.set_exception(error)
-            return
-        self._resolve_batch(batch, responses)
+        else:
+            done = self.clock.now()
+            for pending, response in zip(batch, responses):
+                if isinstance(response, InvalidRequestError):
+                    pending.future.set_exception(response)
+                    continue
+                latency = done - pending.submitted_at
+                latencies.append(latency)
+                if pending.deadline_at is not None:
+                    if done <= pending.deadline_at:
+                        met += 1
+                    else:
+                        missed += 1
+                if response.latency_s is None:
+                    # A fresh response from the predictor: stamp it in
+                    # place rather than building it a second time. One
+                    # the caller may already hold is copied instead.
+                    response.__dict__["latency_s"] = latency
+                else:
+                    response = replace(response, latency_s=latency)
+                pending.future.set_result(response)
+        service_s = self.clock.now() - started
+        with self._stats_lock:
+            self.stats.record_latencies(latencies)
+            self.stats.record_deadline_outcomes(met, missed)
+            self.stats.record_flush(len(batch), service_s=service_s)

@@ -383,6 +383,58 @@ class TestServingStatsReservoir:
         empty = ServingStats()
         assert empty.p50_latency_s == empty.p99_latency_s == 0.0
 
+    def test_same_stream_same_sample(self):
+        """The sampler's RNG has a fixed seed: two stats fed the same
+        stream hold identical samples, batch by batch or one by one."""
+        n = 3 * ServingStats.RESERVOIR_CAPACITY
+        values = [float(i) * 1e-3 for i in range(n)]
+        batched, single = ServingStats(), ServingStats()
+        for start in range(0, n, 64):
+            batched.record_latencies(values[start : start + 64])
+        for value in values:
+            single.record_latencies([value])
+        assert batched.latencies_s == single.latencies_s
+        assert len(batched.latencies_s) == ServingStats.RESERVOIR_CAPACITY
+        assert batched.latencies_s != values[: ServingStats.RESERVOIR_CAPACITY]
+
+    def test_sample_is_uniform_over_the_stream(self):
+        """The sample of 0..n-1 (n = 3 x capacity) averages (n - 1) / 2
+        within 5 standard errors of a uniform k-of-n sample, and each
+        third of the stream holds about a third of it. A sampler that
+        keeps only early values averages about k / 2."""
+        k = ServingStats.RESERVOIR_CAPACITY
+        n = 3 * k
+        stats = ServingStats()
+        for start in range(0, n, 64):
+            stats.record_latencies(float(i) for i in range(start, start + 64))
+        sample = np.array(stats.latencies_s)
+        # Without replacement: sigma / sqrt(k) * sqrt((n - k) / (n - 1)).
+        std_error = n / np.sqrt(12) / np.sqrt(k) * np.sqrt((n - k) / (n - 1))
+        assert abs(sample.mean() - (n - 1) / 2) < 5 * std_error  # ~225
+        thirds = np.bincount((sample // k).astype(int), minlength=3)
+        assert np.all(np.abs(thirds - k / 3) < 0.1 * k / 3), thirds
+
+    def test_percentile_computed_once_per_sample_state(self, monkeypatch):
+        """A percentile is kept until a value enters the sample; the
+        value read is the one ``np.percentile`` gives for the sample."""
+        computed = []
+        percentile = np.percentile
+
+        def counting(values, q):
+            computed.append(q)
+            return percentile(values, q)
+
+        monkeypatch.setattr(np, "percentile", counting)
+        stats = ServingStats()
+        stats.record_latencies([0.003, 0.001, 0.002])
+        assert stats.p95_latency_s == stats.p95_latency_s == percentile(
+            [0.003, 0.001, 0.002], 95
+        )
+        assert computed == [95.0]
+        stats.record_latencies([0.004])
+        assert stats.p95_latency_s == percentile([0.003, 0.001, 0.002, 0.004], 95)
+        assert computed == [95.0, 95.0]
+
     def test_small_series_remain_exact_lists(self):
         """Below the reservoir capacity the series are the full data —
         the compatibility contract existing tests rely on."""

@@ -325,6 +325,36 @@ class TestDeadlineAwareFlush:
         assert lead_s() == pytest.approx(0.010 * 1.25 + 0.0005)
         scheduler.close()
 
+    def test_flush_lead_prices_the_p95_once_between_flushes(self, monkeypatch):
+        """The deadline thread reads the p95 flush time on every wake
+        while holding the queue lock; it is computed again only after a
+        new flush time is recorded."""
+        computed = []
+        percentile = np.percentile
+
+        def counting(values, q):
+            computed.append(q)
+            return percentile(values, q)
+
+        monkeypatch.setattr(np, "percentile", counting)
+        scheduler = BatchScheduler(
+            StubPredictor(), max_wait_s=10.0, start_worker=False,
+            clock=ManualClock(),
+        )
+        for service_s in (0.010, 0.020, 0.030):
+            scheduler.stats.record_flush(4, service_s=service_s)
+        scheduler.submit(_request(0, deadline_s=1.0))
+        with scheduler._lock:
+            due = [scheduler._due_at_locked() for _ in range(2)]
+        assert computed == [95.0]
+        expected = percentile([0.010, 0.020, 0.030], 95) * 1.25 + 0.0005
+        assert due == [pytest.approx(1.0 - expected)] * 2
+        scheduler.stats.record_flush(4, service_s=0.040)
+        with scheduler._lock:
+            scheduler._due_at_locked()
+        assert computed == [95.0, 95.0]
+        scheduler.close()
+
     def test_shed_expired_resolves_with_typed_error(self):
         """Budget spent in the queue → DeadlineExceededError, and the
         live requests in the same flush still get answers."""

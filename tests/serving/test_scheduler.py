@@ -7,8 +7,14 @@ covered at the end against the tiny trained suite.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import logging
+import queue
+import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +69,17 @@ class StubPredictor:
         ]
 
 
+class RejectsOdd(StubPredictor):
+    """Answers even request ids and rejects odd ones in their rows."""
+
+    def predict_batch(self, requests):
+        answers = super().predict_batch(requests)
+        return [
+            InvalidRequestError(f"row {r.request_id}") if r.request_id % 2 else answer
+            for r, answer in zip(requests, answers)
+        ]
+
+
 class TestManualMode:
     def test_flush_resolves_everything(self):
         stub = StubPredictor()
@@ -110,17 +127,6 @@ class TestManualMode:
         resolves that row's future alone, and the row counts in neither
         the latency nor the deadline statistics."""
         clock = ManualClock()
-
-        class RejectsOdd(StubPredictor):
-            def predict_batch(self, requests):
-                answers = super().predict_batch(requests)
-                return [
-                    InvalidRequestError(f"row {r.request_id}")
-                    if r.request_id % 2
-                    else answer
-                    for r, answer in zip(requests, answers)
-                ]
-
         scheduler = BatchScheduler(
             RejectsOdd(), max_batch=8, start_worker=False, clock=clock
         )
@@ -159,6 +165,284 @@ class TestManualMode:
             BatchScheduler(StubPredictor(), max_batch=0, start_worker=False)
         with pytest.raises(ValueError):
             BatchScheduler(StubPredictor(), max_wait_s=-1.0, start_worker=False)
+
+
+def _flush_soon(scheduler, delay_s: float = 0.05) -> threading.Thread:
+    """Flush ``scheduler`` from another thread after ``delay_s``, so that
+    the caller is already waiting when the futures resolve."""
+    thread = threading.Thread(target=lambda: (time.sleep(delay_s), scheduler.flush()))
+    thread.start()
+    return thread
+
+
+class TestFutureContract:
+    """What a caller may do with a ``submit()`` future: everything a
+    ``concurrent.futures.Future`` supports, blocking or not."""
+
+    def _scheduler(self, predictor=None):
+        return BatchScheduler(predictor or StubPredictor(), max_batch=64, start_worker=False)
+
+    def test_is_a_concurrent_future(self):
+        scheduler = self._scheduler()
+        future = scheduler.submit(_request(0))
+        assert isinstance(future, concurrent.futures.Future)
+        scheduler.close()
+
+    def test_asyncio_wrap_future_resolves(self):
+        scheduler = self._scheduler()
+
+        async def run():
+            wrapped = asyncio.wrap_future(scheduler.submit(_request(3)))
+            scheduler.flush()
+            return await asyncio.wait_for(wrapped, timeout=5.0)
+
+        assert asyncio.run(run()).label == 3
+        scheduler.close()
+
+    def test_wait_returns_futures_resolved_by_another_thread(self):
+        scheduler = self._scheduler()
+        futures = [scheduler.submit(_request(i)) for i in range(4)]
+        flusher = _flush_soon(scheduler)
+        done, not_done = concurrent.futures.wait(futures, timeout=5.0)
+        flusher.join(timeout=5.0)
+        assert done == set(futures) and not not_done
+        assert [f.result().label for f in futures] == [0, 1, 2, 3]
+        scheduler.close()
+
+    def test_as_completed_yields_every_future(self):
+        scheduler = self._scheduler()
+        resolved = scheduler.submit(_request(0))
+        scheduler.flush()
+        futures = [resolved] + [scheduler.submit(_request(i)) for i in range(1, 4)]
+        flusher = _flush_soon(scheduler)
+        completed = list(concurrent.futures.as_completed(futures, timeout=5.0))
+        flusher.join(timeout=5.0)
+        assert set(completed) == set(futures) and len(completed) == 4
+        scheduler.close()
+
+    def test_result_timeout_while_queued_then_answer(self):
+        scheduler = self._scheduler()
+        future = scheduler.submit(_request(5))
+        with pytest.raises(concurrent.futures.TimeoutError):
+            future.result(timeout=0.01)
+        with pytest.raises(concurrent.futures.TimeoutError):
+            future.exception(timeout=0.01)
+        scheduler.flush()
+        assert future.result(timeout=0.01).label == 5
+        scheduler.close()
+
+    def test_blocked_result_wakes_when_another_thread_flushes(self):
+        """Each waiter wakes on its answer, well before its own timeout:
+        a lost wakeup leaves it blocked past the join below."""
+        scheduler = self._scheduler()
+        futures = [scheduler.submit(_request(i)) for i in range(8)]
+        answers: dict[int, int] = {}
+
+        def wait_for(i):
+            answers[i] = futures[i].result(timeout=60.0).label
+
+        waiters = [
+            threading.Thread(target=wait_for, args=(i,), daemon=True) for i in range(8)
+        ]
+        for thread in waiters:
+            thread.start()
+        time.sleep(0.05)  # let the waiters block
+        scheduler.flush()
+        for thread in waiters:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert answers == {i: i for i in range(8)}
+        scheduler.close()
+
+    def test_wakeup_for_a_neighbour_does_not_time_out_a_wait(self):
+        """Cancelling one future wakes only its own waiters: a thread in
+        ``result(timeout)`` on the next future keeps waiting for its
+        answer (a Condition shared between futures would wake it, and
+        ``result`` would raise TimeoutError)."""
+        scheduler = self._scheduler()
+        cancelled, waited = (scheduler.submit(_request(i)) for i in range(2))
+        outcome: list = []
+
+        def wait():
+            try:
+                outcome.append(waited.result(timeout=60.0).label)
+            except BaseException as error:  # surfaced below
+                outcome.append(error)
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        time.sleep(0.05)
+        assert cancelled.cancel()
+        time.sleep(0.05)
+        scheduler.flush()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert outcome == [1]
+        scheduler.close()
+
+    def test_cancel_before_flush(self):
+        """A cancelled future raises CancelledError, each callback of the
+        flush fires exactly once, and its neighbours are answered."""
+        stub = StubPredictor()
+        scheduler = self._scheduler(stub)
+        futures = [scheduler.submit(_request(i)) for i in range(3)]
+        calls: Counter = Counter()
+        for future in futures:
+            future.add_done_callback(lambda f: calls.update([f]))
+        assert futures[1].cancel()
+        scheduler.flush()
+        with pytest.raises(concurrent.futures.CancelledError):
+            futures[1].result()
+        assert futures[1].cancelled() and futures[1].done()
+        assert [futures[i].result().label for i in (0, 2)] == [0, 2]
+        assert calls == Counter(futures)
+        assert stub.flush_sizes == [2]
+        scheduler.close()
+
+    def test_callback_on_a_resolved_future_runs_at_once(self):
+        scheduler = self._scheduler()
+        future = scheduler.submit(_request(0))
+        scheduler.flush()
+        seen = []
+        future.add_done_callback(seen.append)
+        assert seen == [future]
+        scheduler.close()
+
+    def test_raising_callback_is_logged_not_propagated(self, caplog):
+        scheduler = self._scheduler()
+        futures = [scheduler.submit(_request(i)) for i in range(3)]
+
+        def broken(future):
+            raise RuntimeError("callback bug")
+
+        later = []
+        futures[0].add_done_callback(broken)
+        futures[0].add_done_callback(later.append)
+        with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+            scheduler.flush()  # does not raise
+            futures[0].add_done_callback(broken)  # resolved: runs, logged
+        assert [f.result().label for f in futures] == [0, 1, 2]
+        assert later == [futures[0]]
+        logged = [r for r in caplog.records if "exception calling callback" in r.getMessage()]
+        assert len(logged) == 2
+        assert scheduler.stats.requests == 3
+        scheduler.close()
+
+    def test_stress_waiters_callbacks_and_cancels_race_the_flushes(self):
+        """Submitters, blocking waiters and cancellers race max-batch
+        and deadline-thread flushes at a short switch interval: every
+        future ends answered with its own label or cancelled, each
+        callback fires exactly once, and no waiter is left blocked."""
+        n_submitters, per_submitter, n_waiters = 4, 100, 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            scheduler = BatchScheduler(StubPredictor(), max_batch=8, max_wait_s=0.001)
+            handed: queue.Queue = queue.Queue()
+            calls: Counter = Counter()
+            lock = threading.Lock()
+            futures: dict[int, concurrent.futures.Future] = {}
+            errors: list = []
+            slowest = [0.0]
+
+            def count(future):
+                with lock:
+                    calls[future] += 1
+
+            def submitter(base):
+                for i in range(base, base + per_submitter):
+                    future = scheduler.submit(_request(i))
+                    future.add_done_callback(count)
+                    with lock:
+                        futures[i] = future
+                    handed.put((i, future))
+
+            def waiter():
+                while (item := handed.get(timeout=30.0)) is not None:
+                    i, future = item
+                    if i % 4 == 0 and future.cancel():
+                        continue
+                    started = time.perf_counter()
+                    try:
+                        label = future.result(timeout=30.0).label
+                    except BaseException as error:  # surfaced below
+                        errors.append(error)
+                        continue
+                    with lock:
+                        slowest[0] = max(slowest[0], time.perf_counter() - started)
+                    if label != i:
+                        errors.append(AssertionError(f"{i} answered {label}"))
+
+            submitters = [
+                threading.Thread(target=submitter, args=(k * per_submitter,), daemon=True)
+                for k in range(n_submitters)
+            ]
+            waiters = [threading.Thread(target=waiter, daemon=True) for _ in range(n_waiters)]
+            for thread in submitters + waiters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            for _ in waiters:
+                handed.put(None)
+            for thread in waiters:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            scheduler.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:3]
+        assert slowest[0] < 5.0  # woken by its flush, not by its timeout
+        total = n_submitters * per_submitter
+        assert len(futures) == total
+        assert all(f.done() for f in futures.values())
+        answered = [i for i, f in futures.items() if not f.cancelled()]
+        assert all(futures[i].result().label == i for i in answered)
+        assert calls == Counter(futures.values())
+        assert scheduler.stats.requests == len(answered)
+
+    def test_rejected_row_resolves_through_set_exception(self):
+        scheduler = self._scheduler(RejectsOdd())
+        futures = [scheduler.submit(_request(i)) for i in range(2)]
+        seen = []
+        futures[1].add_done_callback(seen.append)
+        scheduler.flush()
+        error = futures[1].exception(timeout=0)
+        assert isinstance(error, InvalidRequestError) and str(error) == "row 1"
+        assert futures[1].done() and not futures[1].cancelled()
+        with pytest.raises(InvalidRequestError):
+            futures[1].result(timeout=0)
+        assert seen == [futures[1]]
+        assert futures[0].exception(timeout=0) is None
+        scheduler.close()
+
+
+class TestLazyCondition:
+    """The submit() future builds its Condition only for a thread that
+    must wait; a caller that never blocks costs no Condition."""
+
+    def test_callback_path_builds_no_condition(self):
+        scheduler = BatchScheduler(StubPredictor(), max_batch=4, start_worker=False)
+        futures = [scheduler.submit(_request(i)) for i in range(4)]
+        for future in futures:
+            future.add_done_callback(lambda f: None)
+            assert future.done()
+            assert future.exception() is None and not future.cancelled()
+            assert future.result().label >= 0
+            assert future._cond is None
+        scheduler.close()
+
+    def test_waiting_thread_builds_one_condition_per_future(self):
+        scheduler = BatchScheduler(StubPredictor(), max_batch=64, start_worker=False)
+        first, second = (scheduler.submit(_request(i)) for i in range(2))
+        with pytest.raises(concurrent.futures.TimeoutError):
+            first.result(timeout=0.001)
+        assert first._cond is not None and second._cond is None
+        concurrent.futures.wait([second], timeout=0.001)
+        assert second._cond is not None and second._cond is not first._cond
+        scheduler.flush()
+        assert first.result().label == 0 and second.result().label == 1
+        scheduler.close()
 
 
 class TestWorker:
