@@ -199,7 +199,7 @@ def test_bench_open_loop_goodput_ladder(bench_floor):
         # Sub-capacity rungs only demonstrate health — keep them short.
         n = n_overload if factor > 1.0 else max(256, n_overload // 4)
         for policy_label, queue_cap, policy in (
-            ("baseline", None, "block"),
+            ("baseline", None, "shed"),  # unbounded: admission never runs
             ("shed", QUEUE_CAP, "shed"),
         ):
             requests = _requests(n, deadline_s, seed=int(factor * 10))

@@ -9,10 +9,10 @@ The serving front door this repo grew in PR 8, end to end:
    deadline thread flushes *early* when the predicted flush time
    (the p95 of recorded flush times) would eat a request's remaining
    slack,
-3. overload the bounded queue open-loop and watch the three admission
-   policies differ: ``block`` (async backpressure), ``shed`` (typed
-   ``OverloadError`` at the door), ``shed-expired`` (past-deadline
-   queue entries resolve with ``DeadlineExceededError``),
+3. overload the bounded queue with a request storm under both
+   admission policies: ``shed`` (typed ``OverloadError`` at the door)
+   and ``shed-expired`` (past-deadline queue entries resolve with
+   ``DeadlineExceededError`` first, making room for new arrivals),
 4. read the goodput story from ``ServingStats``: served / shed /
    expired / deadline-met counts — every request accounted for,
    no future ever stranded.
@@ -124,12 +124,12 @@ async def main_async(suite) -> None:
 
     print("\n=== 3. Overload: a bounded queue under a request storm ===")
     print(f"queue_cap=8, {N_REQUESTS} requests submitted at once:")
-    for policy in ("block", "shed", "shed-expired"):
+    for policy in ("shed", "shed-expired"):
         await overloaded_traffic(suite, policy)
     print(
-        "block trades latency for completeness; shed keeps admitted\n"
-        "latency bounded by rejecting at the door; shed-expired also\n"
-        "refuses to burn batch capacity on answers already past due."
+        "shed keeps admitted latency bounded by rejecting at the door;\n"
+        "shed-expired also refuses to burn queue room and batch capacity\n"
+        "on answers already past due."
     )
 
 

@@ -830,12 +830,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--overload-policy",
-        choices=("block", "shed", "shed-expired"),
-        default="block",
-        help="what a full --queue-cap queue does: 'block' applies "
-        "backpressure, 'shed' rejects with OverloadError, "
-        "'shed-expired' also drops past-deadline queue entries "
-        "(DeadlineExceededError)",
+        choices=("shed", "shed-expired"),
+        default="shed",
+        help="what a full --queue-cap queue does: 'shed' rejects with "
+        "OverloadError, 'shed-expired' first drops past-deadline queue "
+        "entries (DeadlineExceededError) and sheds only if none has "
+        "expired",
     )
     bench.add_argument(
         "--qps",

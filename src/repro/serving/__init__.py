@@ -19,8 +19,8 @@ The deployment story of the repro in three calls::
 * :class:`BatchScheduler` — coalesces individually submitted requests
   into vectorised flushes (max-batch / max-wait), each one
   ``predict_batch`` call run inline by the thread that flushes,
-  recording per-request latency, per-flush batch sizes and service
-  times in :class:`ServingStats`.
+  recording request and flush counts, per-request latency and
+  per-flush service times in :class:`ServingStats`.
 * :class:`ModelRouter` — many named predictors (one per bAbI task)
   behind one shared scheduler, routed by ``QueryRequest.task`` with
   per-route statistics; same-shaped routes answer a mixed flush with
@@ -35,8 +35,9 @@ The deployment story of the repro in three calls::
   ``predictor.cache.stats``.
 * :class:`AsyncFrontend` — the asyncio front door: awaitable queries
   with per-request SLO deadlines (``deadline_s``), admission control
-  over a bounded queue (``queue_cap`` + ``overload_policy`` —
-  :data:`OVERLOAD_POLICIES`), typed :class:`OverloadError` /
+  over a bounded queue that sheds at the door (``queue_cap`` +
+  ``overload_policy`` — :data:`OVERLOAD_POLICIES`, ``"shed"`` or
+  ``"shed-expired"``), typed :class:`OverloadError` /
   :class:`DeadlineExceededError`, and a deadline thread that flushes
   early when the predicted flush time (the p95 of recorded flush
   times in :class:`ServingStats`) would eat a request's remaining

@@ -136,12 +136,12 @@ class Predictor(Protocol):
 
 
 class _Reservoir:
-    """Bounded uniform sample with exact count / sum / max.
+    """Bounded uniform sample with exact count and sum.
 
     Soak loads push millions of values through the stats; an unbounded
     list is a slow memory leak. Reservoir sampling keeps a fixed-size
-    uniform sample for percentile estimates while the count, sum and
-    maximum stay exact (so ``mean``/``max`` never degrade).
+    uniform sample for percentile estimates while the count and sum
+    stay exact (so ``mean`` never degrades).
 
     The sampler is Li's Algorithm L (ACM TOMS 1994): once the sample is
     full it draws how many values to pass over before the next one
@@ -154,7 +154,7 @@ class _Reservoir:
     """
 
     __slots__ = (
-        "capacity", "count", "total", "maximum",
+        "capacity", "count", "total",
         "_sample", "_rng", "_log_w", "_next", "_percentiles",
     )
 
@@ -162,7 +162,6 @@ class _Reservoir:
         self.capacity = int(capacity)
         self.count = 0
         self.total = 0.0
-        self.maximum = 0.0
         self._sample: list[float] = []
         self._rng = random.Random(seed)
         self._log_w = 0.0  # log of Algorithm L's W
@@ -179,9 +178,6 @@ class _Reservoir:
         first = self.count  # values[i] is value number first + i + 1
         self.count += len(values)
         self.total += sum(values)
-        top = max(values)
-        if top > self.maximum:
-            self.maximum = top
         sample = self._sample
         if len(sample) < self.capacity:
             sample.extend(values[: self.capacity - len(sample)])
@@ -227,10 +223,11 @@ class _Reservoir:
 class ServingStats:
     """Counters a predictor or scheduler accumulates while serving.
 
-    ``batch_sizes`` is one entry per flush (the micro-batching win to
-    watch) and ``latencies_s`` one per request — each a bounded
-    reservoir sample (:data:`RESERVOIR_CAPACITY`) whose count, mean and
-    max stay exact however long the router runs; percentiles
+    ``requests`` and ``flushes`` are exact counts, and their ratio is
+    ``mean_batch_size`` (the micro-batching win to watch).
+    ``latencies_s`` is one entry per request, a bounded reservoir
+    sample (:data:`RESERVOIR_CAPACITY`) whose mean stays exact however
+    long the router runs; percentiles
     (``p50_latency_s``/``p95_latency_s``/``p99_latency_s``) come from
     the sample. Story-cache counts live in each predictor's
     :class:`~repro.serving.cache.MemoryCache` (``predictor.cache.stats``).
@@ -246,10 +243,6 @@ class ServingStats:
     honest open-loop metric. Per-flush execution wall time feeds the
     ``_service`` reservoir (``p95_service_s``), the base of the
     deadline thread's flush-time prediction.
-
-    ``safety_net_wakeups`` counts async-frontend admission waits
-    resolved by the lost-wakeup timer rather than a room callback — it
-    should stay ~0; growth means wakeups are being lost.
     """
 
     RESERVOIR_CAPACITY = 4096
@@ -260,14 +253,12 @@ class ServingStats:
     expired: int = 0
     deadline_met: int = 0
     deadline_missed: int = 0
-    # Always 0 (nothing replays a flush): perfbench/run.py reads it for
-    # ``scheduler.retries``, which CI's perfbench-traced-smoke job runs.
+    # Always 0 (nothing replays a flush, and no admission waits):
+    # perfbench/run.py reads them for ``scheduler.retries`` and
+    # ``frontend.safety_net_wakeups``, which CI's perfbench-traced-smoke
+    # job runs.
     retries: int = 0
     safety_net_wakeups: int = 0
-    _batch_sizes: _Reservoir = field(
-        default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
-        repr=False,
-    )
     _latencies: _Reservoir = field(
         default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
         repr=False,
@@ -282,7 +273,6 @@ class ServingStats:
     ) -> None:
         self.flushes += 1
         self.requests += batch_size
-        self._batch_sizes.add(batch_size)
         if service_s is not None:
             self._service.add(service_s)
 
@@ -302,36 +292,19 @@ class ServingStats:
         self.deadline_met += met
         self.deadline_missed += missed
 
-    def record_safety_net(self, n: int = 1) -> None:
-        """Count admission waits the lost-wakeup safety net resolved."""
-        self.safety_net_wakeups += n
-
-    # -- sampled series (bounded views; exact below capacity) ----------
-    @property
-    def batch_sizes(self) -> list[float]:
-        return self._batch_sizes.sample
-
+    # -- sampled series (a bounded view; exact below capacity) ---------
     @property
     def latencies_s(self) -> list[float]:
         return self._latencies.sample
 
-    @property
-    def latency_count(self) -> int:
-        """Exact number of latencies recorded (>= len(latencies_s))."""
-        return self._latencies.count
-
     # -- derived -------------------------------------------------------
     @property
     def mean_batch_size(self) -> float:
-        return self._batch_sizes.mean
+        return self.requests / self.flushes if self.flushes else 0.0
 
     @property
     def mean_latency_s(self) -> float:
         return self._latencies.mean
-
-    @property
-    def max_latency_s(self) -> float:
-        return self._latencies.maximum if self._latencies.count else 0.0
 
     @property
     def p50_latency_s(self) -> float:
@@ -346,10 +319,6 @@ class ServingStats:
         return self._latencies.percentile(99.0)
 
     # -- SLO / deadline accounting -------------------------------------
-    @property
-    def mean_service_s(self) -> float:
-        return self._service.mean
-
     @property
     def p95_service_s(self) -> float:
         """The p95 flush wall time. The deadline thread reads it on every

@@ -24,11 +24,11 @@ class ServingError(RuntimeError):
 class OverloadError(ServingError):
     """The bounded pending queue is full and the admission policy sheds.
 
-    Raised *at submission* by :meth:`BatchScheduler.submit` /
-    ``submit_nowait`` when ``queue_cap`` is reached under
-    ``overload_policy="shed"`` (or ``"shed-expired"`` with no expired
-    entry to evict, or a non-blocking submit under ``"block"``). The
-    request was never enqueued — nothing to await, nothing stranded.
+    Raised *at submission* by :meth:`BatchScheduler.submit` (alias
+    ``submit_nowait``) when ``queue_cap`` is reached under
+    ``overload_policy="shed"``, or under ``"shed-expired"`` with no
+    expired entry to evict. The request was never enqueued — nothing
+    to await, nothing stranded.
     """
 
 

@@ -184,7 +184,7 @@ class ModelRouter:
         max_wait_s: float = 0.005,
         start_worker: bool = True,
         queue_cap: int | None = None,
-        overload_policy: str = "block",
+        overload_policy: str = "shed",
         inline_flush: bool = True,
         **params,
     ) -> "ModelRouter":
@@ -284,21 +284,13 @@ class ModelRouter:
 
     def submit(self, request: QueryRequest):
         """Enqueue one request on the shared scheduler (its task is
-        validated now)."""
+        validated now). A full bounded queue raises
+        :class:`~repro.serving.api.OverloadError`."""
         self.resolve_task(request)
         return self.scheduler.submit(request)
 
-    def submit_nowait(self, request: QueryRequest):
-        """Like :meth:`submit`, but a full bounded queue raises
-        :class:`~repro.serving.api.OverloadError` instead of blocking
-        (the :class:`~repro.serving.frontend.AsyncFrontend` admission
-        path)."""
-        self.resolve_task(request)
-        return self.scheduler.submit_nowait(request)
-
-    def add_room_callback(self, callback) -> None:
-        """Forward a queue-room wakeup registration to the scheduler."""
-        self.scheduler.add_room_callback(callback)
+    # AsyncFrontend calls it by this name.
+    submit_nowait = submit
 
     def predict(self, request: QueryRequest) -> QueryResponse:
         """Answer one request directly (no scheduling), with accounting."""

@@ -18,16 +18,13 @@ into one flush when either
 * the caller forces it (``flush()`` / ``close()`` / context-manager
   exit).
 
-**Admission control.** ``queue_cap`` bounds the pending queue;
-``overload_policy`` picks what happens at the brim:
+**Admission control.** ``queue_cap`` bounds the pending queue, and a
+full queue answers at the door: ``submit()`` never waits for room.
+``overload_policy`` picks what the door does:
 
-* ``"block"`` (default) — ``submit()`` waits for room (backpressure);
-  ``submit_nowait()`` raises :class:`~repro.serving.api.OverloadError`
-  instead, which is how the asyncio frontend awaits room without
-  blocking the event loop. In manual mode (no deadline thread) the
-  blocked submitter drains a batch itself rather than deadlocking.
-* ``"shed"`` — reject new submissions with ``OverloadError``; queued
-  work is never touched, so admitted latency stays bounded.
+* ``"shed"`` (default) — reject new submissions with
+  :class:`~repro.serving.api.OverloadError`; queued work is never
+  touched, so admitted latency stays bounded.
 * ``"shed-expired"`` — like ``"shed"``, but expired queue entries
   (deadline budget already spent) are evicted first — their futures
   resolve with :class:`~repro.serving.api.DeadlineExceededError` — and
@@ -53,6 +50,13 @@ ones. Responses within a flush resolve in submission order, in the
 same pass that measures their latencies; the flush's statistics land
 together once its futures are resolved.
 
+**Callbacks.** No future resolves under the queue lock, and a thread
+resolving futures never flushes inline: that flush would wait for the
+one running the callbacks. So a done-callback may ``submit()``; a batch
+it fills goes to the deadline thread, or in manual mode to the next
+``flush()``, ``close()`` or batch-filling submit. ``flush()`` and
+``close()`` from a done-callback raise ``RuntimeError``.
+
 **The future.** ``submit()`` returns a private subclass of
 :class:`concurrent.futures.Future`, so ``asyncio.wrap_future``,
 ``concurrent.futures.wait``/``as_completed``, callbacks and cancellation
@@ -65,8 +69,8 @@ reads the result once it has fired, never builds one.
 All timestamps (submission, deadlines, latencies, per-flush service
 time) come from one :class:`~repro.serving.clock.Clock`, so the
 numbers line up and tests can swap in a
-:class:`~repro.serving.clock.ManualClock`. Per-request latency,
-per-flush batch sizes and service times are recorded in
+:class:`~repro.serving.clock.ManualClock`. Request and flush counts,
+per-request latency and per-flush service times are recorded in
 :class:`~repro.serving.api.ServingStats`, the numbers
 ``benchmarks/test_bench_router.py`` and
 ``benchmarks/test_bench_frontend.py`` turn into throughput and goodput
@@ -100,7 +104,7 @@ from repro.serving.api import (
 from repro.serving.clock import MONOTONIC, Clock
 from repro.serving.errors import InvalidRequestError, SchedulerClosedError
 
-OVERLOAD_POLICIES = ("block", "shed", "shed-expired")
+OVERLOAD_POLICIES = ("shed", "shed-expired")
 
 _DONE_STATES = (CANCELLED, CANCELLED_AND_NOTIFIED, FINISHED)
 
@@ -200,6 +204,13 @@ class _LazyFuture(Future):
         self._invoke_callbacks()
 
 
+class _Resolving(threading.local):
+    """Per thread: whether it is resolving a scheduler's futures, whose
+    done-callbacks may call back into that scheduler."""
+
+    active = False
+
+
 @dataclass(slots=True)
 class _Pending:
     request: QueryRequest
@@ -234,6 +245,9 @@ class BatchScheduler:
     full queue never executes a flush on the event-loop thread
     (requires ``start_worker=True`` for progress without manual
     ``flush()`` calls).
+
+    ``submit_nowait`` is another name for ``submit``, which never
+    waits for room; the asyncio frontend calls it by that name.
     """
 
     def __init__(
@@ -243,7 +257,7 @@ class BatchScheduler:
         max_wait_s: float = 0.005,
         start_worker: bool = True,
         queue_cap: int | None = None,
-        overload_policy: str = "block",
+        overload_policy: str = "shed",
         inline_flush: bool = True,
         clock: Clock = MONOTONIC,
     ):
@@ -268,16 +282,12 @@ class BatchScheduler:
         self.stats = ServingStats()
         self._pending: list[_Pending] = []
         # _lock guards the queue and its flags; _cond, over the same
-        # lock, is only for waiting and notifying.
+        # lock, wakes the deadline thread.
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._stats_lock = threading.Lock()
         self._closed = False
-        #: One-shot callbacks fired (under _lock) whenever a dequeue
-        #: frees queue room — the asyncio frontend's wakeup channel.
-        #: Callbacks must be cheap and must NOT call back into the
-        #: scheduler synchronously (they run with _lock held).
-        self._room_callbacks: list = []
+        self._resolving = _Resolving()
         # FIFO tickets: assigned at dequeue time (under _lock, where
         # submission order is defined), retired when the flush is done.
         # Flushes execute in ticket order, which pins completion order
@@ -297,122 +307,74 @@ class BatchScheduler:
     def submit(self, request: QueryRequest) -> "Future[QueryResponse]":
         """Enqueue one request; the Future resolves at the next flush.
 
-        At a full bounded queue the call blocks for room under
-        ``overload_policy="block"`` and raises
-        :class:`~repro.serving.api.OverloadError` under the shed
-        policies (after evicting expired entries, for "shed-expired").
+        Never waits for room: at a full bounded queue it raises
+        :class:`~repro.serving.api.OverloadError`, under
+        "shed-expired" only when no queued entry has expired.
         """
-        return self._submit(request, may_block=True)
-
-    def submit_nowait(self, request: QueryRequest) -> "Future[QueryResponse]":
-        """Like :meth:`submit`, but never blocks for queue room: a full
-        queue raises :class:`~repro.serving.api.OverloadError` under
-        every policy (the asyncio frontend's admission primitive —
-        combined with :meth:`add_room_callback` it awaits room without
-        holding any thread)."""
-        return self._submit(request, may_block=False)
-
-    def _submit(self, request: QueryRequest, may_block: bool) -> Future:
         future = _LazyFuture()
-        while True:
-            batch: list[_Pending] = []
-            ticket = None
-            drain: list[_Pending] = []
-            drain_ticket = None
-            with self._lock:
-                if self._closed:
-                    raise SchedulerClosedError("scheduler is closed")
-                if not self._admit_locked(may_block):
-                    # Full queue, "block" policy, manual mode: there is
-                    # no deadline thread to drain, so the caller makes
-                    # its own room (backpressure = the caller pays).
-                    drain, drain_ticket = self._take_locked(self.max_batch)
-                else:
-                    now = self.clock.now()
-                    self._pending.append(
-                        _Pending(
-                            request,
-                            future,
-                            now,
-                            self.clock.deadline_at(request.deadline_s, now),
-                        )
-                    )
-                    if len(self._pending) >= self.max_batch:
-                        if self.inline_flush:
-                            batch, ticket = self._take_locked(self.max_batch)
-                        else:
-                            self._cond.notify_all()  # the deadline thread flushes
-                    elif len(self._pending) == 1 or request.deadline_s is not None:
-                        # Wake the deadline thread to (re)arm its timer:
-                        # on a newly non-empty queue, or when this
-                        # request's deadline may be the new binding
-                        # constraint. Notifying on every submit would
-                        # GIL-thrash against busy submitters.
-                        self._cond.notify_all()
-            if drain:
-                self._execute(drain, drain_ticket)
-                continue  # retry admission after making room
-            if batch:  # full batch: the submitting caller pays the flush
-                self._execute(batch, ticket)
-            return future
-
-    def _admit_locked(self, may_block: bool) -> bool:
-        """Wait for / make queue room (caller holds ``_lock``).
-
-        Returns True when the request may enqueue now, False when the
-        caller should drain a batch itself (manual-mode backpressure).
-        Raises :class:`OverloadError` under the shed policies or for a
-        non-blocking submit,
-        :class:`~repro.serving.errors.SchedulerClosedError` if closed
-        while waiting.
-        """
-        if self.queue_cap is None:
-            return True
-        while len(self._pending) >= self.queue_cap:
-            if self.overload_policy == "shed-expired" and self._drop_expired_locked():
-                continue  # eviction may have made room
-            if self.overload_policy != "block":
-                with self._stats_lock:
-                    self.stats.record_shed()
-                raise OverloadError(
-                    f"pending queue at capacity ({self.queue_cap}) under "
-                    f"overload_policy={self.overload_policy!r}"
-                )
-            if not may_block:
-                raise OverloadError(
-                    f"pending queue at capacity ({self.queue_cap}); "
-                    "submit_nowait does not block for room"
-                )
-            if self._worker is None:
-                return False  # manual mode: caller drains inline
-            self._cond.wait(timeout=0.1)
+        batch = expired = ()
+        ticket = None
+        with self._lock:
             if self._closed:
                 raise SchedulerClosedError("scheduler is closed")
-        return True
+            if self.queue_cap is not None and len(self._pending) >= self.queue_cap:
+                # Under "shed-expired" the expired entries leave the full
+                # queue, to be resolved once the lock is released.
+                if self.overload_policy == "shed-expired":
+                    self._pending, expired = self._split_expired(self._pending)
+                if not expired:
+                    with self._stats_lock:
+                        self.stats.record_shed()
+                    raise OverloadError(
+                        f"pending queue at capacity ({self.queue_cap}) under "
+                        f"overload_policy={self.overload_policy!r}"
+                    )
+            now = self.clock.now()
+            self._pending.append(
+                _Pending(
+                    request,
+                    future,
+                    now,
+                    self.clock.deadline_at(request.deadline_s, now),
+                )
+            )
+            if len(self._pending) >= self.max_batch:
+                if self.inline_flush and not self._resolving.active:
+                    batch, ticket = self._take_locked(self.max_batch)
+                else:
+                    self._cond.notify_all()  # the deadline thread flushes
+            elif len(self._pending) == 1 or request.deadline_s is not None:
+                # Wake the deadline thread to (re)arm its timer: on a
+                # newly non-empty queue, or when this request's deadline
+                # may be the new binding constraint. Notifying on every
+                # submit would GIL-thrash against busy submitters.
+                self._cond.notify_all()
+        if batch or expired:  # the submitting caller pays
+            self._execute(batch, ticket, expired)
+        return future
 
-    def _drop_expired_locked(self) -> bool:
-        """Evict queued requests whose deadline already passed (caller
-        holds ``_lock``). Returns whether any left the queue."""
-        queued = len(self._pending)
-        self._pending = self._expire(self._pending)
-        if len(self._pending) == queued:
-            return False
-        if self._pending_has_room_locked():
-            self._notify_room_locked()
-        return True
+    submit_nowait = submit
 
-    def _expire(self, entries: list[_Pending]) -> list[_Pending]:
-        """Resolve each entry whose deadline has passed with
-        :class:`DeadlineExceededError` and return the rest, in order.
-        The clock is read once, and a spent budget counts as expired. An
-        expired future a caller already cancelled is dropped uncounted."""
+    def _split_expired(self, entries: list[_Pending]) -> tuple[list, list]:
+        """``(live, expired)``: ``entries`` split by whether their
+        deadline has passed, each in order. The clock is read once, and
+        a spent budget counts as expired."""
         now = self.clock.now()
-        live = []
-        dropped = 0
+        live, expired = [], []
         for pending in entries:
             if pending.deadline_at is None or now < pending.deadline_at:
                 live.append(pending)
-            elif pending.future.set_running_or_notify_cancel():
+            else:
+                expired.append(pending)
+        return live, expired
+
+    def _fail_expired(self, expired) -> None:
+        """Resolve entries already out of the queue with
+        :class:`DeadlineExceededError`. An expired future a caller
+        already cancelled is dropped uncounted."""
+        dropped = 0
+        for pending in expired:
+            if pending.future.set_running_or_notify_cancel():
                 pending.future.set_exception(
                     DeadlineExceededError(
                         f"deadline budget of {pending.request.deadline_s}s "
@@ -423,37 +385,19 @@ class BatchScheduler:
         if dropped:
             with self._stats_lock:
                 self.stats.record_expired(dropped)
-        return live
 
-    def add_room_callback(self, callback) -> None:
-        """Register a one-shot wakeup fired when a dequeue frees queue
-        room (or the scheduler closes). The callback runs under the
-        scheduler's internal lock: it must be cheap, exception-free and
-        must not call back into the scheduler — the asyncio frontend
-        passes ``loop.call_soon_threadsafe`` wrappers, nothing else."""
-        fire = False
-        with self._lock:
-            if self._closed or self._pending_has_room_locked():
-                fire = True  # already room (or never coming): wake now
-            else:
-                self._room_callbacks.append(callback)
-        if fire:
-            callback()
-
-    def _pending_has_room_locked(self) -> bool:
-        return self.queue_cap is None or len(self._pending) < self.queue_cap
-
-    def _notify_room_locked(self) -> None:
-        """Wake admission waiters after a dequeue (caller holds _lock)."""
-        if self.queue_cap is None:
-            return
-        self._cond.notify_all()
-        callbacks, self._room_callbacks = self._room_callbacks, []
-        for callback in callbacks:
-            callback()
+    def _refuse_in_callback(self, name: str) -> None:
+        if self._resolving.active:
+            raise RuntimeError(
+                f"{name}() from a done-callback would wait for the flush "
+                "that is running the callback"
+            )
 
     def flush(self) -> None:
-        """Drain every queued request now, in the calling thread."""
+        """Drain every queued request now, in the calling thread.
+        Raises ``RuntimeError`` from a done-callback of this
+        scheduler's futures."""
+        self._refuse_in_callback("flush")
         while True:
             with self._lock:
                 batch, ticket = self._take_locked(self.max_batch)
@@ -465,15 +409,12 @@ class BatchScheduler:
         """Flush outstanding requests and stop the deadline thread.
         Idempotent. A max-batch flush from a racing ``submit()`` may
         still be in flight when this returns; it resolves its own
-        futures."""
+        futures. Raises ``RuntimeError`` from a done-callback of this
+        scheduler's futures."""
+        self._refuse_in_callback("close")
         with self._lock:
             self._closed = True
             self._cond.notify_all()
-            # Wake async admission waiters too: room is never coming,
-            # their retried submit must observe the closed scheduler.
-            callbacks, self._room_callbacks = self._room_callbacks, []
-        for callback in callbacks:
-            callback()
         if self._worker is not None:
             self._worker.join()
             self._worker = None
@@ -504,7 +445,6 @@ class BatchScheduler:
         del self._pending[: len(batch)]
         ticket = self._next_ticket
         self._next_ticket += 1
-        self._notify_room_locked()
         return batch, ticket
 
     def _await_turn(self, ticket: int) -> None:
@@ -575,18 +515,20 @@ class BatchScheduler:
             p95 = self.stats.p95_service_s
         return p95 * _SAFETY_FACTOR + _DEADLINE_MARGIN_S
 
-    def note_safety_net_wakeup(self) -> None:
-        """Count one lost-wakeup safety-net firing (async frontend)."""
-        with self._stats_lock:
-            self.stats.record_safety_net()
-
-    def _execute(self, batch: list[_Pending], ticket: int | None) -> None:
+    def _execute(self, batch: list[_Pending], ticket: int | None, expired=()) -> None:
+        """Resolve ``expired`` (entries evicted at admission), then run
+        ``batch``. The thread counts as resolving throughout, so that
+        no done-callback flushes inline behind this flush's ticket."""
+        resolving = self._resolving
+        outer, resolving.active = resolving.active, True
         try:
+            self._fail_expired(expired)
             if self.overload_policy == "shed-expired":
                 # An expired request cannot meet its deadline whatever
                 # we do; spending batch capacity on it only endangers
                 # the live ones. Resolve it typed, serve the rest.
-                batch = self._expire(batch)
+                batch, late = self._split_expired(batch)
+                self._fail_expired(late)
             # Transition every future to RUNNING first: a future the
             # caller already cancelled drops out here, and the rest can
             # no longer be cancelled, so set_result/set_exception below
@@ -603,6 +545,7 @@ class BatchScheduler:
                 self._await_turn(ticket)
                 self._run_batch(running, requests, started)
         finally:
+            resolving.active = outer
             self._retire_ticket(ticket)
 
     def _run_batch(

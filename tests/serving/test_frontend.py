@@ -154,35 +154,6 @@ class TestAsyncBridge:
 class TestAsyncAdmission:
     """Bounded-queue admission as seen from the event loop."""
 
-    def test_block_policy_waits_for_room_then_serves_everyone(self):
-        stub = GatedPredictor()
-        # inline_flush=False: the gated flush must run on the deadline
-        # thread, never inline on the event loop (which would deadlock).
-        scheduler = BatchScheduler(
-            stub, max_batch=1, max_wait_s=0.0, queue_cap=1,
-            overload_policy="block", inline_flush=False,
-        )
-
-        async def run():
-            loop = asyncio.get_running_loop()
-            async with AsyncFrontend(scheduler) as frontend:
-                first = asyncio.ensure_future(frontend.query(_request(0)))
-                # Worker is now inside predict_batch; queue is empty.
-                await loop.run_in_executor(None, stub.entered.wait, 5.0)
-                second = asyncio.ensure_future(frontend.query(_request(1)))
-                await asyncio.sleep(0.05)  # second occupies the queue
-                third = asyncio.ensure_future(frontend.query(_request(2)))
-                await asyncio.sleep(0.05)
-                # Admission for the third parks on a room callback —
-                # no OverloadError surfaces under "block".
-                assert not third.done()
-                stub.gate.set()
-                return await asyncio.gather(first, second, third)
-
-        responses = asyncio.run(run())
-        assert [r.label for r in responses] == [0, 1, 2]
-        assert scheduler.stats.shed == 0
-
     def test_shed_policy_raises_typed_overload(self):
         stub = GatedPredictor()
         scheduler = BatchScheduler(
@@ -206,6 +177,25 @@ class TestAsyncAdmission:
         assert [r.label for r in responses] == [0, 1]
         assert scheduler.stats.shed == 1
         assert scheduler.stats.offered == 3
+
+    def test_full_queue_of_live_entries_sheds_at_once(self):
+        """Under "shed-expired" with no queued entry expired, nothing
+        makes room: the query raises at the door and counts as shed."""
+        scheduler = BatchScheduler(
+            StubPredictor(), max_batch=4, start_worker=False,
+            queue_cap=1, overload_policy="shed-expired",
+        )
+        queued = scheduler.submit(_request(0, deadline_s=60.0))
+
+        async def run():
+            async with AsyncFrontend(scheduler) as frontend:
+                with pytest.raises(OverloadError, match="capacity"):
+                    await asyncio.wait_for(frontend.query(_request(1)), timeout=5.0)
+
+        asyncio.run(run())
+        assert queued.result(timeout=5.0).label == 0  # close() flushed it
+        assert (scheduler.stats.shed, scheduler.stats.expired) == (1, 0)
+        assert scheduler.stats.offered == 2
 
     def test_storm_never_strands_a_future(self):
         """Acceptance: every submitted request resolves — response or
@@ -237,42 +227,6 @@ class TestAsyncAdmission:
         assert scheduler.stats.requests == len(served)
         assert scheduler.stats.shed == len(shed)
         assert scheduler.stats.offered == n
-
-
-class TestFrontendSafetyNet:
-    def test_room_retry_validated(self):
-        with pytest.raises(ValueError, match="room_retry_s"):
-            AsyncFrontend(object(), room_retry_s=0.0)
-
-    def test_lost_wakeups_are_counted(self):
-        """Park an admission coroutine at a full queue with a tiny
-        ``room_retry_s``: the safety net must fire (and be counted)
-        while no room wakeup arrives, and the request must still be
-        served once room frees up."""
-        scheduler = BatchScheduler(
-            StubPredictor(), max_batch=2, start_worker=False, queue_cap=1,
-            overload_policy="block",
-        )
-
-        async def run():
-            frontend = AsyncFrontend(
-                scheduler, close_backend=False, room_retry_s=0.005
-            )
-            first = asyncio.ensure_future(frontend.query(_request(0)))
-            await asyncio.sleep(0.01)  # first admitted; the queue is full
-            second = asyncio.ensure_future(frontend.query(_request(1)))
-            # Let the safety net fire a few times with no room wakeup.
-            while scheduler.stats.safety_net_wakeups < 2:
-                await asyncio.sleep(0.005)
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, scheduler.flush)  # frees room
-            assert (await first).label == 0
-            await loop.run_in_executor(None, scheduler.flush)
-            assert (await second).label == 1
-
-        asyncio.run(run())
-        assert scheduler.stats.safety_net_wakeups >= 2
-        scheduler.close()
 
 
 class TestDeadlineAwareFlush:

@@ -14,6 +14,7 @@ from repro.eval.suite import BabiSuite, SuiteConfig
 from repro.serving import (
     InvalidRequestError,
     ModelRouter,
+    OverloadError,
     QueryRequest,
     QueryResponse,
     SoftwarePredictor,
@@ -136,6 +137,14 @@ class TestRouting:
             open_predictor(tiny_suite, r.task).predict(r) for r in requests
         ]
         assert [r.label for r in answered] == [r.label for r in expected]
+
+    def test_full_queue_sheds_by_default(self, tiny_suite):
+        with ModelRouter.open(tiny_suite, start_worker=False, queue_cap=1) as router:
+            queued = router.submit(_request(tiny_suite, 1, 0))
+            with pytest.raises(OverloadError, match="capacity"):
+                router.submit_nowait(_request(tiny_suite, 6, 1))
+            assert router.stats.shed == 1 and router.scheduler.pending == 1
+        assert queued.result(timeout=5.0).request_id == (1, 0)
 
     def test_submit_after_close_rejected(self, tiny_suite):
         router = ModelRouter.open(tiny_suite, start_worker=False)

@@ -110,10 +110,9 @@ class TestManualMode:
         assert response.latency_s is not None and response.latency_s >= 0
         assert scheduler.stats.requests == 4
         assert scheduler.stats.flushes == 1
-        assert scheduler.stats.batch_sizes == [4]
         assert scheduler.stats.mean_batch_size == 4.0
         assert len(scheduler.stats.latencies_s) == 4
-        assert scheduler.stats.max_latency_s >= scheduler.stats.mean_latency_s
+        assert max(scheduler.stats.latencies_s) >= scheduler.stats.mean_latency_s
 
     def test_error_propagates_to_futures(self):
         scheduler = BatchScheduler(StubPredictor(fail=True), max_batch=2, start_worker=False)
@@ -137,7 +136,7 @@ class TestManualMode:
             with pytest.raises(InvalidRequestError, match=f"row {i}"):
                 futures[i].result()
         stats = scheduler.stats
-        assert (stats.requests, stats.latency_count) == (4, 2)
+        assert (stats.requests, len(stats.latencies_s)) == (4, 2)
         assert (stats.deadline_met, stats.deadline_missed) == (2, 0)
 
     def test_cancelled_future_skipped_not_fatal(self):
@@ -729,34 +728,18 @@ class TestFifoOrdering:
 class TestAdmissionControl:
     """Bounded queue + overload policies, scheduler-level semantics."""
 
-    def test_block_policy_manual_mode_drains_inline(self):
-        stub = StubPredictor()
+    @pytest.mark.parametrize("start_worker", [True, False], ids=["worker", "manual"])
+    def test_full_queue_sheds_by_default(self, start_worker):
         scheduler = BatchScheduler(
-            stub, max_batch=10, start_worker=False, queue_cap=2
+            StubPredictor(), max_wait_s=30.0, start_worker=start_worker, queue_cap=1
         )
-        futures = [scheduler.submit(_request(i)) for i in range(3)]
-        # No deadline thread to wait on: the blocked submitter made its
-        # own room by draining one batch before enqueueing.
-        assert stub.flush_sizes == [2]
-        assert scheduler.pending == 1
-        assert [futures[i].result().label for i in range(2)] == [0, 1]
-        assert not futures[2].done()
-        assert scheduler.stats.shed == 0
+        queued = scheduler.submit(_request(0))
+        for submit in (scheduler.submit, scheduler.submit_nowait):
+            with pytest.raises(OverloadError, match="'shed'"):
+                submit(_request(1))
+        assert scheduler.stats.shed == 2 and scheduler.pending == 1
         scheduler.close()
-
-    def test_submit_nowait_under_block_is_not_a_shed(self):
-        scheduler = BatchScheduler(
-            StubPredictor(), max_batch=10, start_worker=False, queue_cap=2
-        )
-        for i in range(2):
-            scheduler.submit_nowait(_request(i))
-        with pytest.raises(OverloadError):
-            scheduler.submit_nowait(_request(2))
-        # Under "block" a nowait rejection is a retry signal for the
-        # async frontend, not load shedding — the counter stays 0.
-        assert scheduler.stats.shed == 0
-        assert scheduler.pending == 2
-        scheduler.close()
+        assert queued.result(timeout=5.0).label == 0
 
     def test_shed_policy_rejects_and_counts(self):
         scheduler = BatchScheduler(
@@ -823,3 +806,140 @@ class TestAdmissionControl:
             BatchScheduler(
                 StubPredictor(), overload_policy="panic", start_worker=False
             )
+        # A full queue never waits for room.
+        with pytest.raises(ValueError, match=r"\('shed', 'shed-expired'\), got 'block'"):
+            BatchScheduler(
+                StubPredictor(), overload_policy="block", start_worker=False
+            )
+
+
+def _within(seconds: float, target) -> None:
+    """Run ``target`` in a thread that must finish within ``seconds``:
+    a hang fails the test instead of stalling the suite."""
+    errors: list = []
+
+    def run():
+        try:
+            target()
+        except BaseException as error:  # surfaced below
+            errors.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "hung"
+    if errors:
+        raise errors[0]
+
+
+class TestCallbackReentry:
+    """Done-callbacks that call back into the scheduler. They run in
+    the thread resolving a flush, which holds that flush's ticket."""
+
+    def _serve_with_callbacks(self, scheduler, requests, callback) -> list:
+        """Submit ``requests`` with ``callback`` on each future, and have
+        the deadline thread (worker mode) or a ``flush()`` (manual mode)
+        resolve them. Holding the queue lock keeps the deadline thread
+        from flushing before every callback is in place."""
+        with scheduler._lock:
+            futures = [scheduler.submit(request) for request in requests]
+            for future in futures:
+                future.add_done_callback(callback)
+        if scheduler._worker is None:
+            scheduler.flush()
+        return futures
+
+    @pytest.mark.parametrize("start_worker", [True, False], ids=["worker", "manual"])
+    def test_follow_ups_from_callbacks_are_answered_in_order(self, start_worker):
+        """Each answer submits two follow-ups, and the fourth fills a
+        batch inside the flush that resolved it: that batch goes to the
+        deadline thread or the next flush(), never inline."""
+        stub = OrderRecordingStub(dwell_s=0.0)
+        scheduler = BatchScheduler(
+            stub, max_batch=4, max_wait_s=0.001, start_worker=start_worker
+        )
+        follow_ups: list = []
+        submitted = threading.Event()
+
+        def follow_up(future):
+            i = future.result().label
+            follow_ups.extend(scheduler.submit(_request(10 + 2 * i + k)) for k in (0, 1))
+            if len(follow_ups) == 6:
+                submitted.set()
+
+        def run():
+            originals = self._serve_with_callbacks(
+                scheduler, [_request(i) for i in range(3)], follow_up
+            )
+            assert [f.result(timeout=5.0).label for f in originals] == [0, 1, 2]
+            assert submitted.wait(timeout=5.0)
+            scheduler.flush()
+            assert [f.result(timeout=5.0).label for f in follow_ups] == list(range(10, 16))
+            scheduler.close()
+
+        _within(10.0, run)
+        completed = [i for batch in stub.batches for i in batch]
+        assert completed == [0, 1, 2, *range(10, 16)]
+
+    @pytest.mark.parametrize("start_worker", [True, False], ids=["worker", "manual"])
+    def test_flush_and_close_from_a_callback_raise(self, start_worker):
+        """Draining a follow-up from a callback would wait for the flush
+        running the callback: flush() and close() raise instead, and the
+        follow-up is answered later."""
+        scheduler = BatchScheduler(
+            StubPredictor(), max_wait_s=0.001, start_worker=start_worker
+        )
+        follow_ups: list = []
+        raised: list = []
+        called = threading.Event()
+
+        def call_back(future):
+            follow_ups.append(scheduler.submit(_request(1)))
+            for method in (scheduler.flush, scheduler.close):
+                try:
+                    method()
+                except RuntimeError as error:
+                    raised.append((method.__name__, str(error)))
+            called.set()
+
+        def run():
+            (future,) = self._serve_with_callbacks(scheduler, [_request(0)], call_back)
+            assert future.result(timeout=5.0).label == 0
+            assert called.wait(timeout=5.0)
+            scheduler.close()
+            assert follow_ups[0].result(timeout=5.0).label == 1
+
+        _within(10.0, run)
+        assert [name for name, _ in raised] == ["flush", "close"]
+        assert all("done-callback" in message for _, message in raised)
+
+    def test_resubmit_from_an_expiry_callback_at_a_full_queue_sheds(self):
+        """Admission evicts the expired entry and admits the new one,
+        which fills the queue again; only then does the evicted future
+        resolve, so its callback's resubmit meets a full queue."""
+        clock = ManualClock()
+        scheduler = BatchScheduler(
+            StubPredictor(), max_batch=10, start_worker=False, clock=clock,
+            queue_cap=1, overload_policy="shed-expired",
+        )
+        resubmits: list = []
+
+        def resubmit(future):
+            try:
+                resubmits.append(scheduler.submit(_request(0)))
+            except Exception as error:  # surfaced below
+                resubmits.append(error)
+
+        def run():
+            doomed = scheduler.submit(_request(0, deadline_s=1.0))
+            doomed.add_done_callback(resubmit)
+            clock.advance(2.0)
+            live = scheduler.submit(_request(1))
+            assert isinstance(doomed.exception(timeout=0), DeadlineExceededError)
+            scheduler.close()
+            assert live.result(timeout=5.0).label == 1
+
+        _within(10.0, run)
+        assert len(resubmits) == 1 and isinstance(resubmits[0], OverloadError)
+        assert (scheduler.stats.expired, scheduler.stats.shed) == (1, 1)
+        assert scheduler.stats.requests == 1

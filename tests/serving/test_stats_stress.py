@@ -42,8 +42,8 @@ def _requests_for(suite, thread_id: int):
 
 def _assert_monotone_percentiles(stats) -> None:
     assert 0.0 <= stats.p50_latency_s <= stats.p95_latency_s <= stats.p99_latency_s
-    assert stats.p99_latency_s <= stats.max_latency_s
-    assert 0.0 <= stats.mean_service_s and 0.0 <= stats.p95_service_s
+    assert stats.p99_latency_s <= max(stats.latencies_s)  # below reservoir capacity
+    assert 0.0 <= stats.p95_service_s
 
 
 # Who runs the flushes: only the scheduler's deadline thread (the
@@ -96,8 +96,7 @@ def test_concurrent_submitters_exact_totals(
     # assertions run after close() has drained every in-flight flush.
     stats = router.stats
     assert stats.requests == total  # no increment lost, none double-counted
-    assert sum(stats.batch_sizes) == total  # below reservoir capacity
-    assert len(stats.latencies_s) == total
+    assert len(stats.latencies_s) == total  # below reservoir capacity
     assert stats.flushes >= total / router.scheduler.max_batch
     assert stats.shed == 0 and stats.expired == 0
     _assert_monotone_percentiles(stats)
