@@ -6,7 +6,8 @@ Networks on an FPGA".
 Public API overview
 -------------------
 ``repro.nn``
-    Minimal numpy reverse-mode autograd (Tensor, layers, optimisers).
+    Minimal numpy reverse-mode autograd with the Adam optimiser: only
+    what MemN2N training runs.
 ``repro.babi``
     Synthetic bAbI story-world generator for all 20 QA task types.
 ``repro.mann``

@@ -33,7 +33,7 @@ from repro.mips.histograms import GaussianKde, LogitHistogram
 from repro.mips.lsh import AlshMips
 from repro.mips.clustering import ClusteringMips
 from repro.mips.ordering import index_order_by_silhouette, silhouette_coefficient
-from repro.mips.stats import BatchSearchResult, SearchResult, SearchStats
+from repro.mips.stats import BatchSearchResult, SearchResult
 from repro.mips.thresholding import InferenceThresholding, ThresholdModel, fit_threshold_model
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "index_order_by_silhouette",
     "BatchSearchResult",
     "SearchResult",
-    "SearchStats",
     "InferenceThresholding",
     "ThresholdModel",
     "fit_threshold_model",

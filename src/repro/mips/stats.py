@@ -1,8 +1,8 @@
-"""Result/statistics containers shared by all MIPS engines."""
+"""Result containers shared by all MIPS engines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,9 @@ class BatchSearchResult:
     one numpy array per field instead of a Python list of
     :class:`SearchResult`, so downstream consumers (the batch inference
     engine, the Fig. 3 sweep, benchmarks) can aggregate comparison and
-    early-exit statistics without a per-query loop. Use ``to_list()``
-    (or ``result(i)``) where scalar results are genuinely needed; the
-    deprecated list-of-``SearchResult`` iteration/indexing shims were
-    removed after one release.
+    early-exit statistics without a per-query loop. ``result(i)`` gives
+    one query's outcome as a scalar :class:`SearchResult`; the batch
+    itself cannot be iterated or indexed.
     """
 
     labels: np.ndarray  # (B,) int64 argmax index per query
@@ -87,60 +86,3 @@ class BatchSearchResult:
             int(self.comparisons[i]),
             bool(self.early_exits[i]),
         )
-
-    def to_list(self) -> list[SearchResult]:
-        """Materialise the batch as scalar results (no deprecation)."""
-        return [self.result(i) for i in range(len(self))]
-
-    @classmethod
-    def from_results(cls, results: list[SearchResult]) -> "BatchSearchResult":
-        """Stack scalar results (for backends without a batched kernel)."""
-        return cls(
-            labels=np.array([r.label for r in results], dtype=np.int64),
-            logits=np.array([r.logit for r in results], dtype=np.float64),
-            comparisons=np.array([r.comparisons for r in results], dtype=np.int64),
-            early_exits=np.array([r.early_exit for r in results], dtype=bool),
-        )
-
-@dataclass
-class SearchStats:
-    """Aggregate counters over many queries."""
-
-    queries: int = 0
-    comparisons: int = 0
-    early_exits: int = 0
-    correct: int = 0
-    labels: list[int] = field(default_factory=list)
-
-    def record(self, result: SearchResult, true_label: int | None = None) -> None:
-        self.queries += 1
-        self.comparisons += result.comparisons
-        self.early_exits += int(result.early_exit)
-        self.labels.append(result.label)
-        if true_label is not None and result.label == int(true_label):
-            self.correct += 1
-
-    def record_batch(
-        self, results: BatchSearchResult, true_labels: np.ndarray | None = None
-    ) -> None:
-        """Fold a whole stacked batch into the counters at once."""
-        self.queries += len(results)
-        self.comparisons += int(results.comparisons.sum())
-        self.early_exits += int(results.early_exits.sum())
-        self.labels.extend(int(label) for label in results.labels)
-        if true_labels is not None:
-            self.correct += int(
-                (results.labels == np.asarray(true_labels)).sum()
-            )
-
-    @property
-    def mean_comparisons(self) -> float:
-        return self.comparisons / self.queries if self.queries else 0.0
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.queries if self.queries else 0.0
-
-    @property
-    def early_exit_rate(self) -> float:
-        return self.early_exits / self.queries if self.queries else 0.0

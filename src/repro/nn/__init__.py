@@ -1,49 +1,28 @@
 """Minimal numpy reverse-mode autograd used to train the MANN.
 
 The paper's models (End-to-End Memory Networks) were trained with a
-mainstream framework; offline we build the training substrate from
-scratch: a small ``Tensor`` with reverse-mode autodiff, the layers the
-MANN needs, losses, initialisers and optimisers.
+mainstream framework; offline we build only what MemN2N training runs:
+a small ``Tensor`` with reverse-mode autodiff and the ops the model and
+its loss call, ``Parameter``/``Module``, the cross-entropy loss, and
+Adam with a step-decay schedule and gradient clipping. ``gradcheck`` is
+the numerical reference the tests check the gradients against.
 """
 
 from repro.nn.gradcheck import gradcheck, numerical_gradient
-from repro.nn.init import normal_init, uniform_init, xavier_init, zeros_init
-from repro.nn.layers import (
-    Dropout,
-    Embedding,
-    LayerNorm,
-    Linear,
-    Module,
-    Parameter,
-    Sequential,
-)
-from repro.nn.losses import cross_entropy, nll_loss, softmax_cross_entropy_grad
-from repro.nn.optim import SGD, Adam, ExponentialDecay, Optimizer, StepDecay
-from repro.nn.tensor import Tensor, no_grad, tensor
+from repro.nn.layers import Module, Parameter
+from repro.nn.losses import cross_entropy, nll_loss
+from repro.nn.optim import Adam, StepDecay
+from repro.nn.tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "Module",
     "Parameter",
-    "Linear",
-    "Embedding",
-    "Sequential",
-    "Dropout",
-    "LayerNorm",
     "cross_entropy",
     "nll_loss",
-    "softmax_cross_entropy_grad",
-    "Optimizer",
-    "SGD",
     "Adam",
     "StepDecay",
-    "ExponentialDecay",
-    "normal_init",
-    "uniform_init",
-    "xavier_init",
-    "zeros_init",
     "gradcheck",
     "numerical_gradient",
 ]

@@ -1,16 +1,13 @@
-"""Layer abstractions on top of :mod:`repro.nn.tensor`.
+"""The parameter containers of :class:`repro.mann.model.MemoryNetwork`.
 
-Only what the MANN needs, plus a couple of generic layers so the package
-stands alone as a small NN library.
+A ``Module`` holds its weights as :class:`Parameter` attributes; there
+are no nested modules, and the model runs its own ``forward``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-import numpy as np
-
-from repro.nn.init import normal_init, xavier_init, zeros_init
 from repro.nn.tensor import Tensor
 
 
@@ -22,235 +19,16 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Base class with recursive parameter discovery.
+    """Base class whose parameters are its :class:`Parameter` attributes.
 
-    Subclasses assign :class:`Parameter` or :class:`Module` instances as
-    attributes; ``parameters()`` walks the attribute tree.
+    They are listed in assignment order. Gradient clipping sums squares
+    in that order, so a different order changes the trained bits.
     """
-
-    training: bool = True
-
-    def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        seen: set[int] = set()
-        for value in self.__dict__.values():
-            self._collect(value, params, seen)
-        return params
-
-    def _collect(self, value, params: list[Parameter], seen: set[int]) -> None:
-        if isinstance(value, Parameter):
-            if id(value) not in seen:
-                seen.add(id(value))
-                params.append(value)
-        elif isinstance(value, Module):
-            for p in value.parameters():
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    params.append(p)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                self._collect(item, params, seen)
-        elif isinstance(value, dict):
-            for item in value.values():
-                self._collect(item, params, seen)
 
     def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
         for key, value in self.__dict__.items():
             if isinstance(value, Parameter):
                 yield key, value
-            elif isinstance(value, Module):
-                for sub_key, sub_value in value.named_parameters():
-                    yield f"{key}.{sub_key}", sub_value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Parameter):
-                        yield f"{key}[{i}]", item
-                    elif isinstance(item, Module):
-                        for sub_key, sub_value in item.named_parameters():
-                            yield f"{key}[{i}].{sub_key}", sub_value
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def _submodules(self):
-        for value in self.__dict__.values():
-            if isinstance(value, Module):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield item
-            elif isinstance(value, dict):
-                for item in value.values():
-                    if isinstance(item, Module):
-                        yield item
-
-    def train(self) -> "Module":
-        self.training = True
-        for module in self._submodules():
-            module.train()
-        return self
-
-    def eval(self) -> "Module":
-        self.training = False
-        for module in self._submodules():
-            module.eval()
-        return self
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copy of every parameter array, keyed by dotted path."""
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        extra = set(state) - set(own)
-        if missing or extra:
-            raise KeyError(
-                f"state dict mismatch: missing={sorted(missing)}, extra={sorted(extra)}"
-            )
-        for name, p in own.items():
-            if p.data.shape != state[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: "
-                    f"{p.data.shape} vs {state[name].shape}"
-                )
-            p.data[...] = state[name]
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
-
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class Linear(Module):
-    """Fully connected layer ``y = x W + b``."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        rng: np.random.Generator | None = None,
-        init: str = "xavier",
-    ):
-        self.in_features = in_features
-        self.out_features = out_features
-        if init == "xavier":
-            weight = xavier_init((in_features, out_features), rng)
-        elif init == "normal":
-            weight = normal_init((in_features, out_features), rng)
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        self.weight = Parameter(weight, name="weight")
-        self.bias = Parameter(zeros_init((out_features,)), name="bias") if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-
-class Embedding(Module):
-    """Lookup table mapping integer indices to dense rows.
-
-    For the MANN the bag-of-words embedding of a sentence is the sum of
-    the embedding rows of its word indices (Eq. 2 of the paper); the
-    helper :meth:`bag_of_words` performs exactly that with a
-    pad-index mask.
-    """
-
-    def __init__(
-        self,
-        num_embeddings: int,
-        embedding_dim: int,
-        rng: np.random.Generator | None = None,
-        pad_index: int | None = 0,
-        std: float = 0.1,
-    ):
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.pad_index = pad_index
-        weight = normal_init((num_embeddings, embedding_dim), rng, std=std)
-        if pad_index is not None:
-            weight[pad_index] = 0.0
-        self.weight = Parameter(weight, name="embedding")
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return self.weight.take_rows(np.asarray(indices, dtype=np.int64))
-
-    def bag_of_words(self, indices: np.ndarray) -> Tensor:
-        """Sum embedding rows over the last axis of ``indices``.
-
-        ``indices`` has shape (..., n_words); padding positions (equal to
-        ``pad_index``) contribute zero because the pad row is zero and is
-        kept zeroed by convention (the trainer re-zeroes it after every
-        update, mirroring the null-word handling of MemN2N).
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        rows = self.weight.take_rows(idx)
-        return rows.sum(axis=-2)
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode.
-
-    MemN2N's bAbI recipe does not use dropout, but the layer rounds out
-    the library for the larger-model experiments.
-    """
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = float(p)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep) / keep
-        return x * Tensor(mask)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        self.dim = dim
-        self.eps = float(eps)
-        self.gain = Parameter(np.ones(dim), name="gain")
-        self.bias = Parameter(np.zeros(dim), name="bias")
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centred = x - mean
-        variance = (centred * centred).mean(axis=-1, keepdims=True)
-        normalised = centred * ((variance + self.eps) ** -0.5)
-        return normalised * self.gain + self.bias
-
-
-class Sequential(Module):
-    """Apply contained modules in order."""
-
-    def __init__(self, *modules: Module):
-        self.modules = list(modules)
-
-    def forward(self, x):
-        for module in self.modules:
-            x = module(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self.modules)
-
-    def __getitem__(self, i: int) -> Module:
-        return self.modules[i]
+    def parameters(self) -> list[Parameter]:
+        return [p for _, p in self.named_parameters()]

@@ -26,18 +26,3 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Softmax cross-entropy from raw logits (numerically stable)."""
     return nll_loss(logits.log_softmax(axis=-1), targets)
-
-
-def softmax_cross_entropy_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of mean softmax CE w.r.t. logits.
-
-    Pure-numpy helper used by tests to validate the autograd path.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    probs = exps / exps.sum(axis=-1, keepdims=True)
-    grad = probs.copy()
-    grad[np.arange(len(targets)), targets] -= 1.0
-    return grad / len(targets)

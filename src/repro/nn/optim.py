@@ -1,9 +1,10 @@
-"""Optimisers and learning-rate schedules.
+"""The optimiser and learning-rate schedule that train the MANN.
 
-MemN2N was trained with plain SGD, learning rate annealed by halving
-every 25 epochs, and gradient-norm clipping at 40. Those are the
-defaults used by :mod:`repro.mann.trainer`; Adam is provided as a
-faster-converging alternative for the small synthetic tasks.
+:mod:`repro.mann.trainer` runs Adam with gradient-norm clipping at 40
+and the learning rate halved on a fixed epoch schedule. MemN2N's
+published bAbI recipe is plain SGD with the same clipping and
+anneal-by-half schedule; this repo does not run that recipe, because
+Adam reaches the synthetic tasks' accuracy in far fewer epochs.
 """
 
 from __future__ import annotations
@@ -13,14 +14,25 @@ import numpy as np
 from repro.nn.layers import Parameter
 
 
-class Optimizer:
-    """Base optimiser over a list of parameters."""
+class Adam:
+    """Adam (Kingma & Ba 2015) over a list of parameters."""
 
-    def __init__(self, params: list[Parameter], lr: float):
+    def __init__(
+        self,
+        params: list[Parameter],
+        lr: float = 0.001,
+        betas: tuple[float, float] = (0.9, 0.999),
+        eps: float = 1e-8,
+    ):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._t = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -43,60 +55,6 @@ class Optimizer:
                     p.grad *= scale
         return norm
 
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum/weight decay."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                update = v
-            else:
-                update = grad
-            p.data -= self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba 2015)."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 0.001,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = float(weight_decay)
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
     def step(self) -> None:
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
@@ -105,8 +63,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
@@ -122,7 +78,7 @@ class StepDecay:
     Mirrors MemN2N's anneal-by-half-every-25-epochs schedule.
     """
 
-    def __init__(self, optimizer: Optimizer, step_size: int = 25, gamma: float = 0.5):
+    def __init__(self, optimizer: Adam, step_size: int = 25, gamma: float = 0.5):
         if step_size <= 0:
             raise ValueError("step_size must be positive")
         self.optimizer = optimizer
@@ -136,18 +92,4 @@ class StepDecay:
         self.epoch += 1
         power = self.epoch // self.step_size
         self.optimizer.lr = self.base_lr * (self.gamma**power)
-        return self.optimizer.lr
-
-
-class ExponentialDecay:
-    """Multiply the learning rate by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95):
-        self.optimizer = optimizer
-        self.gamma = gamma
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr *= self.gamma
         return self.optimizer.lr

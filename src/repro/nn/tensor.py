@@ -1,9 +1,9 @@
 """A small reverse-mode automatic-differentiation engine on numpy.
 
-Only the operations needed by the End-to-End Memory Network (and a few
-more for completeness) are implemented: elementwise arithmetic with
-broadcasting, matmul, reductions, softmax/log-softmax, tanh/relu/sigmoid,
-row gathering (for embeddings) and shape ops.
+Only the operations that End-to-End Memory Network training calls are
+implemented: elementwise arithmetic with broadcasting, matmul, sum and
+mean, softmax/log-softmax, row gathering (for the embeddings), indexing
+and shape ops.
 
 Design notes
 ------------
@@ -13,7 +13,7 @@ Design notes
   ``.grad`` on every tensor with ``requires_grad=True``.
 * Broadcasting is undone in the backward pass by ``_unbroadcast``.
 * A module-level ``no_grad`` context manager disables graph recording,
-  used by the golden inference engine.
+  used by ``MemoryNetwork.predict``.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 
@@ -113,10 +109,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     # ------------------------------------------------------------------
     # Graph mechanics
@@ -308,71 +300,6 @@ class Tensor:
         return Tensor(out_data, True, (self, other), backward)
 
     # ------------------------------------------------------------------
-    # Elementwise nonlinearities
-    # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        if not self._needs_graph():
-            return Tensor(out_data)
-
-        def backward(grad):
-            return (grad * out_data,)
-
-        return Tensor(out_data, True, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-        if not self._needs_graph():
-            return Tensor(out_data)
-
-        def backward(grad):
-            return (grad / self.data,)
-
-        return Tensor(out_data, True, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-        if not self._needs_graph():
-            return Tensor(out_data)
-
-        def backward(grad):
-            return (grad * (1.0 - out_data**2),)
-
-        return Tensor(out_data, True, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        if not self._needs_graph():
-            return Tensor(out_data)
-
-        def backward(grad):
-            return (grad * out_data * (1.0 - out_data),)
-
-        return Tensor(out_data, True, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
-        if not self._needs_graph():
-            return Tensor(out_data)
-
-        def backward(grad):
-            return (grad * mask,)
-
-        return Tensor(out_data, True, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out_data = np.abs(self.data)
-        if not self._needs_graph():
-            return Tensor(out_data)
-
-        def backward(grad):
-            return (grad * sign,)
-
-        return Tensor(out_data, True, (self,), backward)
-
-    # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
@@ -397,23 +324,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        if not self._needs_graph():
-            return Tensor(out_data)
-
-        def backward(grad):
-            g = np.asarray(grad)
-            expanded = self.data.max(axis=axis, keepdims=True)
-            mask = self.data == expanded
-            # Split the gradient among ties (matches numerical gradient).
-            counts = mask.sum(axis=axis, keepdims=True)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (mask * g / counts,)
-
-        return Tensor(out_data, True, (self,), backward)
 
     # ------------------------------------------------------------------
     # Shape ops
@@ -510,43 +420,3 @@ def _ensure_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def tensor(data, requires_grad: bool = False, name: str | None = None) -> Tensor:
-    """Convenience constructor mirroring ``numpy.asarray`` semantics."""
-    return Tensor(data, requires_grad=requires_grad, name=name)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with autograd support."""
-    tensors = [_ensure_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not (grad_enabled() and any(t.requires_grad for t in tensors)):
-        return Tensor(out_data)
-
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        slices = []
-        for start, stop in zip(offsets[:-1], offsets[1:]):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(start, stop)
-            slices.append(grad[tuple(index)])
-        return tuple(slices)
-
-    return Tensor(out_data, True, tuple(tensors), backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with autograd support."""
-    tensors = [_ensure_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    if not (grad_enabled() and any(t.requires_grad for t in tensors)):
-        return Tensor(out_data)
-
-    def backward(grad):
-        parts = np.split(grad, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
-
-    return Tensor(out_data, True, tuple(tensors), backward)

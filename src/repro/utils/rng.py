@@ -25,21 +25,3 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
         raise ValueError(f"count must be non-negative, got {count}")
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-class RngMixin:
-    """Mixin giving a class a lazily created ``self.rng`` generator."""
-
-    _rng: np.random.Generator | None = None
-    seed: int | None = 0
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = new_rng(self.seed)
-        return self._rng
-
-    def reseed(self, seed: int | None) -> None:
-        """Reset the generator to a fresh stream for ``seed``."""
-        self.seed = seed
-        self._rng = new_rng(seed)

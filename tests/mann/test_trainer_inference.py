@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.babi import generate_task_dataset
-from repro.mann import (
-    InferenceEngine,
-    MannConfig,
-    MemoryNetwork,
-    Trainer,
-    train_task_model,
-)
+from repro.mann import MannConfig, train_task_model
 from repro.mann.weights import MannWeights
 
 
@@ -30,11 +24,6 @@ class TestTrainer:
         train, _ = generate_task_dataset(1, 60, 10, seed=4)
         result = train_task_model(train, epochs=100, target_accuracy=0.6, seed=0)
         assert result.epochs_run < 100
-
-    def test_unknown_optimizer_rejected(self):
-        cfg = MannConfig(vocab_size=10, embed_dim=4, memory_size=3)
-        with pytest.raises(ValueError):
-            Trainer(MemoryNetwork(cfg), optimizer="rmsprop")
 
     def test_pad_rows_stay_zero_through_training(self, task1_system):
         weights = task1_system["weights"]

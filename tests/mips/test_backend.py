@@ -11,7 +11,6 @@ from repro.mips import (
     InferenceThresholding,
     MipsBackend,
     SearchResult,
-    SearchStats,
     available_backends,
     build_backend,
     fit_threshold_model,
@@ -139,18 +138,10 @@ class TestBatchSearchResult:
         assert res.mean_comparisons == 7.0
         assert res.early_exit_rate == 0.5
         assert res.accuracy(np.array([3, 2])) == 0.5
-        assert res.to_list() == [
-            SearchResult(3, 0.5, 10, False),
-            SearchResult(1, -1.0, 4, True),
-        ]
-
-    def test_from_results_round_trip(self):
-        originals = [SearchResult(2, 1.5, 7, False), SearchResult(0, 0.25, 1, True)]
-        assert BatchSearchResult.from_results(originals).to_list() == originals
 
     def test_list_shim_removed(self, rng):
         """The deprecated list-of-SearchResult shims are gone: stacked
-        arrays (or the explicit to_list()) are the only shapes."""
+        arrays (or the explicit result(i)) are the only shapes."""
         results = ExactMips(rng.normal(size=(6, 3))).search_batch(
             rng.normal(size=(4, 3))
         )
@@ -159,15 +150,14 @@ class TestBatchSearchResult:
         with pytest.raises(TypeError):
             results[0]
 
-    def test_to_list_matches_stacked_arrays(self, rng):
-        """Explicit scalar materialisation reproduces the arrays exactly."""
+    def test_result_matches_stacked_arrays(self, rng):
+        """Explicit scalar access reproduces the arrays exactly."""
         results = ExactMips(rng.normal(size=(6, 3))).search_batch(
             rng.normal(size=(5, 3))
         )
-        scalars = results.to_list()
-        assert len(scalars) == len(results) == 5
-        for i, scalar in enumerate(scalars):
-            assert scalar == results.result(i)
+        assert len(results) == 5
+        for i in range(len(results)):
+            scalar = results.result(i)
             assert scalar.label == int(results.labels[i])
             assert scalar.logit == float(results.logits[i])
             assert scalar.comparisons == int(results.comparisons[i])
@@ -187,19 +177,6 @@ class TestBatchSearchResult:
         assert results.labels[1] == -1  # no candidates: -1, not index 0
         assert results.logits[1] == -np.inf
         assert results.comparisons.tolist() == [2, 0]
-
-    def test_record_batch_matches_scalar_records(self, rng):
-        engine = ExactMips(rng.normal(size=(8, 4)))
-        queries = rng.normal(size=(6, 4))
-        answers = rng.integers(0, 8, size=6)
-        results = engine.search_batch(queries)
-
-        batched = SearchStats()
-        batched.record_batch(results, answers)
-        scalar = SearchStats()
-        for i, result in enumerate(results.to_list()):
-            scalar.record(result, int(answers[i]))
-        assert batched == scalar
 
 
 # -- per-row BLAS: a query's bits never depend on its layout or batch ----

@@ -1,155 +1,19 @@
-"""Tests for Module/Linear/Embedding/Sequential."""
+"""Tests for Module/Parameter."""
 
 import numpy as np
-import pytest
 
-from repro import nn
-from repro.nn import Embedding, Linear, Module, Parameter, Sequential
+from repro.nn import Module, Parameter
 
 
 class TestModule:
-    def test_parameters_recursive(self):
-        class Inner(Module):
-            def __init__(self):
-                self.w = Parameter(np.ones(2))
-
-        class Outer(Module):
-            def __init__(self):
-                self.inner = Inner()
-                self.b = Parameter(np.zeros(3))
-                self.layers = [Inner(), Inner()]
-
-        params = Outer().parameters()
-        assert len(params) == 4
-
-    def test_parameters_deduplicated(self):
-        class Shared(Module):
-            def __init__(self):
-                self.a = Parameter(np.ones(2))
-                self.b = self.a  # tied weight
-
-        assert len(Shared().parameters()) == 1
-
-    def test_named_parameters_paths(self):
+    def test_named_parameters_in_assignment_order(self):
         class M(Module):
             def __init__(self):
-                self.lin = Linear(2, 3)
+                self.b = Parameter(np.zeros(3))
+                self.config = "not a parameter"
+                self.a = Parameter(np.ones(2))
 
-        names = dict(M().named_parameters())
-        assert "lin.weight" in names
-        assert "lin.bias" in names
-
-    def test_state_dict_roundtrip(self):
-        m1 = Linear(3, 2, rng=np.random.default_rng(0))
-        m2 = Linear(3, 2, rng=np.random.default_rng(1))
-        assert not np.array_equal(m1.weight.data, m2.weight.data)
-        m2.load_state_dict(m1.state_dict())
-        assert np.array_equal(m1.weight.data, m2.weight.data)
-
-    def test_load_state_dict_missing_key_rejected(self):
-        m = Linear(2, 2)
-        state = m.state_dict()
-        del state["bias"]
-        with pytest.raises(KeyError):
-            m.load_state_dict(state)
-
-    def test_load_state_dict_shape_mismatch_rejected(self):
-        m = Linear(2, 2)
-        state = m.state_dict()
-        state["weight"] = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            m.load_state_dict(state)
-
-    def test_zero_grad(self):
-        m = Linear(2, 2)
-        out = m(nn.Tensor(np.ones((1, 2)))).sum()
-        out.backward()
-        assert m.weight.grad is not None
-        m.zero_grad()
-        assert m.weight.grad is None
-
-    def test_train_eval_propagate(self):
-        seq = Sequential(Linear(2, 2), Linear(2, 2))
-        seq.eval()
-        assert not seq[0].training
-        seq.train()
-        assert seq[1].training
-
-    def test_num_parameters(self):
-        m = Linear(3, 4)
-        assert m.num_parameters() == 3 * 4 + 4
-
-
-class TestLinear:
-    def test_forward_shape(self):
-        m = Linear(4, 5)
-        out = m(nn.Tensor(np.ones((2, 4))))
-        assert out.shape == (2, 5)
-
-    def test_no_bias(self):
-        m = Linear(4, 5, bias=False)
-        assert m.bias is None
-        assert len(m.parameters()) == 1
-
-    def test_matches_manual_computation(self):
-        m = Linear(3, 2, rng=np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(4, 3))
-        expected = x @ m.weight.data + m.bias.data
-        assert np.allclose(m(nn.Tensor(x)).data, expected)
-
-    def test_unknown_init_rejected(self):
-        with pytest.raises(ValueError):
-            Linear(2, 2, init="bogus")
-
-    def test_gradients_flow(self):
-        m = Linear(3, 2)
-        loss = m(nn.Tensor(np.ones((1, 3)))).sum()
-        loss.backward()
-        assert m.weight.grad is not None
-        assert m.bias.grad is not None
-
-
-class TestEmbedding:
-    def test_lookup_shape(self):
-        emb = Embedding(10, 4)
-        out = emb(np.array([1, 2, 3]))
-        assert out.shape == (3, 4)
-
-    def test_pad_row_zero(self):
-        emb = Embedding(10, 4, pad_index=0)
-        assert np.array_equal(emb.weight.data[0], np.zeros(4))
-
-    def test_bag_of_words_sums_rows(self):
-        emb = Embedding(10, 4, rng=np.random.default_rng(0))
-        idx = np.array([1, 2, 0, 0])  # two real words + padding
-        out = emb.bag_of_words(idx)
-        expected = emb.weight.data[1] + emb.weight.data[2]
-        assert np.allclose(out.data, expected)
-
-    def test_bag_of_words_batch(self):
-        emb = Embedding(10, 4, rng=np.random.default_rng(0))
-        idx = np.array([[1, 2], [3, 0]])
-        out = emb.bag_of_words(idx)
-        assert out.shape == (2, 4)
-        assert np.allclose(out.data[1], emb.weight.data[3])
-
-    def test_gradient_scatter_add(self):
-        emb = Embedding(5, 3, rng=np.random.default_rng(0))
-        idx = np.array([1, 1, 2])
-        emb(idx).sum().backward()
-        # Row 1 used twice, row 2 once, others never.
-        assert np.allclose(emb.weight.grad[1], 2.0)
-        assert np.allclose(emb.weight.grad[2], 1.0)
-        assert np.allclose(emb.weight.grad[3], 0.0)
-
-
-class TestSequential:
-    def test_applies_in_order(self):
-        seq = Sequential(Linear(2, 3), Linear(3, 4))
-        out = seq(nn.Tensor(np.ones((1, 2))))
-        assert out.shape == (1, 4)
-
-    def test_len_getitem(self):
-        seq = Sequential(Linear(2, 2))
-        assert len(seq) == 1
-        assert isinstance(seq[0], Linear)
+        m = M()
+        assert [name for name, _ in m.named_parameters()] == ["b", "a"]
+        assert m.parameters() == [m.b, m.a]
+        assert all(p.requires_grad for p in m.parameters())

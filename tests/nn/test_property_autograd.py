@@ -60,12 +60,6 @@ def test_linear_combination_gradcheck(x):
 
 
 @settings(max_examples=20, deadline=None)
-@given(_vector(max_side=5))
-def test_tanh_gradcheck(x):
-    gradcheck(lambda t: t.tanh().sum(), x)
-
-
-@settings(max_examples=20, deadline=None)
 @given(_matrix(max_side=3), _matrix(max_side=3))
 def test_matmul_shapes_and_values(a, b):
     if a.shape[1] != b.shape[0]:
@@ -81,20 +75,3 @@ def test_add_commutative(x):
     assert np.allclose(
         (Tensor(x) + Tensor(y)).data, (Tensor(y) + Tensor(x)).data
     )
-
-
-@settings(max_examples=25, deadline=None)
-@given(_vector())
-def test_exp_log_roundtrip(x):
-    positive = np.abs(x) + 0.5
-    assert np.allclose(Tensor(positive).log().exp().data, positive)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
-def test_max_gradient_sums_to_one_per_row(rows, cols):
-    rng = np.random.default_rng(rows * 10 + cols)
-    x = rng.normal(size=(rows, cols))
-    t = Tensor(x, requires_grad=True)
-    t.max(axis=1).sum().backward()
-    assert np.allclose(t.grad.sum(axis=1), 1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngMixin, new_rng, spawn_rngs
+from repro.utils.rng import new_rng, spawn_rngs
 
 
 class TestNewRng:
@@ -44,24 +44,3 @@ class TestSpawnRngs:
         b = [g.random(3) for g in spawn_rngs(9, 2)]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
-
-
-class TestRngMixin:
-    def test_lazy_generator(self):
-        class Thing(RngMixin):
-            seed = 5
-
-        t = Thing()
-        first = t.rng.random()
-        t.reseed(5)
-        assert t.rng.random() == first
-
-    def test_reseed_changes_stream(self):
-        class Thing(RngMixin):
-            seed = 5
-
-        t = Thing()
-        a = t.rng.random()
-        t.reseed(6)
-        b = t.rng.random()
-        assert a != b
