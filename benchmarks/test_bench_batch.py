@@ -1,9 +1,10 @@
 """Batch-vs-loop wall time of host-side inference on 500 bAbI examples.
 
-Compares the vectorised :class:`BatchInferenceEngine` against the seed
-per-example ``forward_trace`` loop (what `InferenceEngine.predict` did
-before it was batched) on an identical 500-example task-1 batch, and
-persists the measured speedup. The acceptance floor is 5x.
+Compares one :class:`BatchInferenceEngine` call over the whole batch
+against a per-example ``forward_trace`` loop, which runs the same
+kernels one row per call, on an identical 500-example task-1 batch, and
+persists the measured speedup: the per-call cost that batching
+amortises. The acceptance floor is 5x.
 """
 
 import time
@@ -21,7 +22,7 @@ MIN_SPEEDUP = 5.0
 
 
 def _loop_predict(engine: InferenceEngine, batch) -> np.ndarray:
-    """The seed implementation: one forward_trace per example."""
+    """One forward_trace, a one-row batch, per example."""
     preds = np.zeros(len(batch), dtype=np.int64)
     for i in range(len(batch)):
         preds[i] = engine.forward_trace(
@@ -70,7 +71,7 @@ def test_bench_batch_speedup(benchmark, bench_floor):
     )
     table.add_row(
         [
-            "per-example forward_trace loop (seed)",
+            "per-example forward_trace loop (one row per call)",
             f"{loop_seconds * 1e3:.2f}",
             f"{loop_seconds / len(batch) * 1e6:.1f}",
             "1.0x",

@@ -2,20 +2,24 @@
 """Quickstart: train a MANN on one bAbI task and run it on the
 simulated FPGA accelerator.
 
-Runs in well under a minute:
+Runs in a few seconds:
 1. generate synthetic bAbI task 1 (single supporting fact) data,
 2. train an End-to-End Memory Network on it,
 3. fit inference thresholding (Algorithm 1) on the training logits,
 4. run the test set through the cycle-level accelerator simulation at
    25 MHz and 100 MHz, with and without inference thresholding,
-5. print timing/energy reports and validate against the golden engine.
+5. print timing/energy reports and check every answer, label and
+   winning-logit bits, against the host engine on the same output
+   search; exits non-zero on a mismatch.
 """
+
+import sys
 
 import numpy as np
 
 from repro.babi import generate_task_dataset
 from repro.hw import HwConfig, MannAccelerator
-from repro.mann import InferenceEngine, train_task_model
+from repro.mann import BatchInferenceEngine, InferenceEngine, train_task_model
 from repro.mips import fit_threshold_model
 
 
@@ -47,10 +51,12 @@ def main() -> None:
 
     print("\n=== 4. Run the accelerator simulation ===")
     test_batch = test.encode()
-    golden = engine.predict(
-        test_batch.stories, test_batch.questions, test_batch.story_lengths
-    )
+    all_match = True
     for ith in (False, True):
+        backend = "threshold" if ith else "exact"
+        golden = BatchInferenceEngine(
+            weights, backend, threshold_model=threshold_model, rho=1.0
+        ).search(test_batch.stories, test_batch.questions, test_batch.story_lengths)
         for mhz in (25.0, 100.0):
             config = (
                 HwConfig(frequency_mhz=mhz)
@@ -58,8 +64,12 @@ def main() -> None:
                 .with_ith(ith, rho=1.0)
             )
             accelerator = MannAccelerator(weights, config, threshold_model)
-            report = accelerator.run(test_batch)
-            matches = np.array_equal(report.predictions, golden) if not ith else None
+            report = accelerator.run(test_batch, keep_examples=True)
+            hw_logits = np.array([run.logit for run in report.examples])
+            matches = np.array_equal(report.predictions, golden.labels) and (
+                hw_logits.tobytes() == golden.logits.tobytes()
+            )
+            all_match = all_match and matches
             label = "FPGA+ITH" if ith else "FPGA    "
             print(
                 f"{label} @{mhz:5.0f} MHz: acc={report.accuracy:.3f} "
@@ -67,10 +77,12 @@ def main() -> None:
                 f"wall={report.wall_seconds * 1e3:7.3f} ms "
                 f"power={report.average_power_w:5.2f} W "
                 f"mean comparisons={report.mean_comparisons:6.1f}"
-                + ("" if matches is None else f"  golden-match={matches}")
+                f"  golden-match={matches}"
             )
 
     print("\nDone. See examples/babi_qa_accelerator.py for the full suite.")
+    if not all_match:
+        sys.exit("an accelerator answer differs from the host engine's")
 
 
 if __name__ == "__main__":

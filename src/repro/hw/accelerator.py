@@ -32,6 +32,7 @@ from repro.hw.modules import (
 from repro.hw.opcounts import ExampleOpCounts, OpCounter
 from repro.hw.pcie import HostInterface, TransferStats
 from repro.hw.timing import CycleModel, PhaseCycles
+from repro.mann.batch import _ForwardPass
 from repro.mann.weights import MannWeights
 from repro.mips.backend import MipsBackend, get_backend
 from repro.mips.thresholding import ThresholdModel
@@ -146,12 +147,14 @@ class MannAccelerator:
             "mem->ctrl.ack",
         )
 
+        # The modules run the batch engine's kernels on one row. Built
+        # here rather than once in __init__, so each run reads the
+        # weights as they are now.
+        forward = _ForwardPass([self.weights])
         control = ControlModule(
             env, lat, fifo_in, fifo_out, to_write, to_read, answer_fifo, ack_fifo
         )
-        input_write = InputWriteModule(
-            env, lat, self.weights, to_write, write_to_mem
-        )
+        input_write = InputWriteModule(env, lat, forward, to_write, write_to_mem)
         mem = MemModule(
             env,
             lat,
@@ -162,7 +165,7 @@ class MannAccelerator:
             ack_fifo,
         )
         read = ReadModule(
-            env, lat, self.weights, to_read, key_fifo, read_vec_fifo, search_fifo
+            env, lat, forward, to_read, key_fifo, read_vec_fifo, search_fifo
         )
         output = OutputModule(
             env, lat, self._build_mips_engine(), search_fifo, answer_fifo

@@ -2,9 +2,10 @@
 
 Each module is an event-driven process on the :mod:`repro.hw.kernel`
 environment, connected to its neighbours by bounded FIFOs. Cycle costs
-come from :class:`repro.hw.latency.LatencyParams`; functional values are
-computed with the same numpy expressions as the golden inference engine
-so co-simulation is bit-exact.
+come from :class:`repro.hw.latency.LatencyParams`; functional values
+come from the batch inference engine's kernels run on one row
+(:mod:`repro.mann.batch`), the code the golden trace and every served
+answer run, so co-simulation is bit-exact.
 """
 
 from repro.hw.modules.control import ControlModule

@@ -16,7 +16,7 @@ from repro.hw.fifo import Fifo
 from repro.hw.kernel import Environment
 from repro.hw.latency import LatencyParams
 from repro.hw.modules.messages import MemoryRowMsg, SentenceMsg
-from repro.mann.weights import MannWeights
+from repro.mann.batch import _ForwardPass
 
 
 class InputWriteModule:
@@ -26,35 +26,18 @@ class InputWriteModule:
         self,
         env: Environment,
         latency: LatencyParams,
-        weights: MannWeights,
+        forward: _ForwardPass,
         from_control: Fifo,
         to_mem: Fifo,
     ):
         self.env = env
         self.latency = latency
-        self.weights = weights
+        self.forward = forward
         self.from_control = from_control
         self.to_mem = to_mem
         self.busy_cycles = 0
         self.sentences_embedded = 0
         self.process = env.process(self._run(), name="INPUT&WRITE")
-
-    def _embed(self, word_indices: np.ndarray, slot: int) -> MemoryRowMsg:
-        """Functional embedding, identical to the golden engine's maths."""
-        w = self.weights
-        idx = np.asarray(word_indices, dtype=np.int64)
-        idx = idx[idx != 0]
-        if idx.size == 0:
-            row_a = np.zeros(w.w_emb_a.shape[1])
-            row_c = np.zeros(w.w_emb_c.shape[1])
-        else:
-            row_a = w.w_emb_a[idx].sum(axis=0)
-            row_c = w.w_emb_c[idx].sum(axis=0)
-        return MemoryRowMsg(
-            slot=slot,
-            row_a=row_a + w.t_a[slot],
-            row_c=row_c + w.t_c[slot],
-        )
 
     def _run(self):
         while True:
@@ -70,6 +53,9 @@ class InputWriteModule:
             # then the accumulate register and temporal-encoding add.
             cycles = n_words * self.latency.mac_issue + 2 * self.latency.reg_latency
             yield self.env.timeout(cycles)
-            yield self.to_mem.put(self._embed(msg.word_indices, msg.slot))
+            # The batch engine's memory-row kernel on one sentence.
+            row = self.forward.memory_rows(msg.word_indices[None], np.array([msg.slot]))
+            row_a, row_c = np.split(row[0], 2)
+            yield self.to_mem.put(MemoryRowMsg(msg.slot, row_a, row_c))
             self.sentences_embedded += 1
             self.busy_cycles += self.env.now - start

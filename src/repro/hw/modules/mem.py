@@ -17,6 +17,7 @@ from repro.hw.fifo import Fifo
 from repro.hw.kernel import Environment
 from repro.hw.latency import LatencyParams
 from repro.hw.modules.messages import KeyMsg, MemoryRowMsg, ReadVectorMsg
+from repro.mann.batch import _ForwardPass
 
 
 class MemModule:
@@ -72,14 +73,6 @@ class MemModule:
         self.rows_valid = 0
 
     # -- read port ---------------------------------------------------------
-    def _attention(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Numerically identical to InferenceEngine.attention."""
-        mem = self.mem_a[: self.rows_valid]
-        scores = mem @ key
-        shifted = scores - scores.max()
-        exps = np.exp(shifted)
-        return scores, exps / exps.sum()
-
     def _read_loop(self):
         while True:
             msg = yield self.key_in.get()
@@ -90,11 +83,15 @@ class MemModule:
             start = self.env.now
             n_slots = max(1, self.rows_valid)
             yield self.env.timeout(self.latency.addressing_cycles(n_slots))
-            scores, attention = self._attention(msg.key)
+            # The batch engine's Eq. 1 and Eq. 5 kernels on one row.
+            valid = self.rows_valid
+            scores, attention = _ForwardPass.attention(
+                self.mem_a[None, :valid], msg.key[None], np.ones((1, valid), bool)
+            )
             yield self.env.timeout(self.latency.content_read_cycles(n_slots))
-            read = self.mem_c[: self.rows_valid].T @ attention
+            read = _ForwardPass.read_memory(attention, self.mem_c[None, :valid])
             yield self.read_out.put(
-                ReadVectorMsg(msg.hop, read, scores, attention)
+                ReadVectorMsg(msg.hop, read[0], scores[0], attention[0])
             )
             self.reads_served += 1
             self.busy_cycles += self.env.now - start

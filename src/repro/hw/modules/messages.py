@@ -20,7 +20,7 @@ class SentenceMsg:
     """One story sentence: the word indices to embed and write."""
 
     slot: int
-    word_indices: np.ndarray  # non-pad indices only
+    word_indices: np.ndarray  # (W,) word indices, pad words 0
 
 
 @dataclass(frozen=True)

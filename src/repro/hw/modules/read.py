@@ -21,7 +21,8 @@ from repro.hw.modules.messages import (
     SearchRequestMsg,
     StartExampleMsg,
 )
-from repro.mann.weights import MannWeights
+from repro.mann.batch import _ForwardPass
+from repro.mips.backend import inner_products
 
 
 class ReadModule:
@@ -31,7 +32,7 @@ class ReadModule:
         self,
         env: Environment,
         latency: LatencyParams,
-        weights: MannWeights,
+        forward: _ForwardPass,
         from_control: Fifo,
         key_out: Fifo,
         read_in: Fifo,
@@ -39,7 +40,7 @@ class ReadModule:
     ):
         self.env = env
         self.latency = latency
-        self.weights = weights
+        self.forward = forward
         self.from_control = from_control
         self.key_out = key_out
         self.read_in = read_in
@@ -49,14 +50,6 @@ class ReadModule:
         self.trace_keys: list[np.ndarray] = []
         self.trace_reads: list[ReadVectorMsg] = []
         self.process = env.process(self._run(), name="READ")
-
-    def _embed_question(self, word_indices: np.ndarray) -> np.ndarray:
-        w = self.weights
-        idx = np.asarray(word_indices, dtype=np.int64)
-        idx = idx[idx != 0]
-        if idx.size == 0:
-            return np.zeros(w.w_emb_q.shape[1])
-        return w.w_emb_q[idx].sum(axis=0)
 
     def _run(self):
         while True:
@@ -80,8 +73,9 @@ class ReadModule:
             # Eq. 3 (t = 1): embed the question into the first key.
             n_words = max(1, int(np.count_nonzero(question.word_indices)))
             yield self.env.timeout(self.latency.embed_question_cycles(n_words))
-            key = self._embed_question(question.word_indices)
+            key = self.forward.embed_questions(question.word_indices[None])[0]
 
+            w_r_t = self.forward._w_r_t[0]
             h = key
             for hop in range(start_msg.hops):
                 self.trace_keys.append(key)
@@ -95,7 +89,7 @@ class ReadModule:
                 # Eq. 4: sequential E-wide dots of W_r against the key,
                 # then the elementwise add of the read vector.
                 yield self.env.timeout(self.latency.controller_cycles())
-                h = reply.read + self.weights.w_r.T @ key
+                h = reply.read + inner_products(key[None], w_r_t)[0]
                 key = h  # recurrent path (Eq. 3, t > 1)
                 self.hops_run += 1
 

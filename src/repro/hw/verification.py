@@ -1,12 +1,15 @@
 """First-class co-simulation checking.
 
 ``verify_against_golden`` replays a batch through the event-driven
-accelerator and the pure-software golden engine simultaneously,
-comparing every observable — predictions, memory contents, read keys,
-attention weights — and returns a structured divergence report. This is
-the reproduction's equivalent of the paper's "implementation and
-validation of this approach on an FPGA" claim: the hardware pipeline is
-functionally proven against the reference model, example by example.
+accelerator and the golden engine side by side, comparing every
+observable — predictions, memory contents, read keys, attention weights,
+read vectors — and returns a structured divergence report. This is the
+reproduction's equivalent of the paper's "implementation and validation
+of this approach on an FPGA" claim, example by example. Both sides run
+the batch engine's kernels on one row, so the report checks the
+pipeline's dataflow: the right sentences, slots, keys and read vectors
+reach each module, in order. The maths itself is held to an independent
+reference in ``tests/mann/test_batch_parity.py``.
 """
 
 from __future__ import annotations

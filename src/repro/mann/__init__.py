@@ -3,9 +3,11 @@
 Implements the model of Section II of the paper: bag-of-words embedding
 writes (Eq. 2), content-based addressing (Eq. 1), soft memory reads
 (Eq. 5), the recurrent READ controller (Eqs. 3-4) and the output layer
-(Eq. 6). Training runs on the :mod:`repro.nn` autograd; inference has a
-pure-numpy golden engine that records every intermediate value so the
-hardware simulator can be co-simulated against it.
+(Eq. 6). Training runs on the :mod:`repro.nn` autograd; inference runs
+one vectorised numpy forward pass (:class:`BatchInferenceEngine`), and
+its one-row trace (:meth:`InferenceEngine.forward_trace`) records every
+intermediate value so the hardware simulator can be co-simulated
+against it.
 """
 
 from repro.mann.batch import BatchInferenceEngine, BatchTrace

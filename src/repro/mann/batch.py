@@ -3,13 +3,16 @@
 Runs the full forward pass over a whole encoded batch in pure numpy
 tensor ops — bag-of-words embedding of every story and question in
 cache-sized chunks, length-masked softmax attention across all
-examples per hop, and a single ``(B, V)`` output projection — with no
-per-example Python loop. Results are ``np.allclose``-equal to the
-per-example golden engine
-(:meth:`repro.mann.inference.InferenceEngine.forward_trace`), which
-stays the bit-exact per-example reference the hardware simulator is
-co-simulated against; this engine is the fast host-side path that the
-evaluation suite, thresholding fits, benchmarks and serving run on.
+examples per hop, and a ``(B, V)`` output projection — with no
+per-example Python loop.
+
+This is the one implementation of Eqs. 1-6: serving, evaluation and
+threshold fits run it on whole batches, the golden trace
+(:meth:`repro.mann.inference.InferenceEngine.forward_trace`) on a
+one-row batch, and the accelerator co-simulation's modules call the
+methods of :class:`_ForwardPass` on one row, so by the contract below
+all give a query the same bits. The independent per-example reference
+is in ``tests/mann/test_batch_parity.py``.
 
 **Batch independence.** A row's bits depend only on its own story,
 question and model: never on the batch size (1 included), the row's
@@ -110,10 +113,10 @@ def _bag_of_words(matrix: np.ndarray, sentences: np.ndarray) -> np.ndarray:
 def infer_story_lengths(stories: np.ndarray) -> np.ndarray:
     """Per-example story length: index of the last non-pad sentence + 1.
 
-    Fully-empty stories count as occupying one (all-pad) slot — the
-    same inference the golden engine applies per example. Shared by
-    the batch engine and the serving facade so both paths infer
-    identical lengths when the caller does not pin them.
+    Fully-empty stories count as occupying one (all-pad) slot. Shared
+    by the batch engine, the per-example golden engine and the serving
+    facade so every path infers identical lengths when the caller does
+    not pin them.
     """
     nonpad = stories.any(axis=2)  # (B, L)
     slots = stories.shape[1]
@@ -233,6 +236,25 @@ class _ForwardPass:
         embed = self._w_emb_ac.shape[1] // 2
         return np.zeros((2, batch, slots, embed), dtype=self._w_emb_ac.dtype)
 
+    def memory_rows(
+        self,
+        sentences: np.ndarray,
+        slots: np.ndarray,
+        model: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Memory rows (Eq. 2 plus the temporal vectors) ``(N, 2E)``,
+        ``[address | content]``, of ``(N, W)`` sentences written to
+        ``slots`` (N,) of models ``model`` (N,; None: model 0). Each
+        sentence gathers its W word rows and then its slot's temporal
+        row, so its sum equals ``bow + t`` bit for bit."""
+        n, words = sentences.shape
+        index = np.empty((words + 1, n), dtype=np.int64)
+        index[:words] = sentences.T
+        index[words] = slots + self._vocab
+        if model is not None:
+            index += model * self._model_rows
+        return _bag_of_words(self._w_emb_ac, index.T)
+
     def _embed_into(
         self,
         memory: np.ndarray,
@@ -240,22 +262,15 @@ class _ForwardPass:
         cells: np.ndarray,
         model: np.ndarray | None,
     ) -> None:
-        """Write the memory rows (Eq. 2 plus the temporal vectors) of the
-        sentences at flat ``(B * L)`` indices ``cells`` of ``stories``
-        into the same cells of ``memory``; sentence n belongs to a story
-        of model ``model[n]`` (None: every sentence is model 0's).
-
-        Each sentence gathers its W word rows and then its slot's
-        temporal row, so its sum equals ``bow + t`` bit for bit, and one
-        scatter along the flat cell axis places both memories' rows.
-        """
+        """Write the memory rows of the sentences at flat ``(B * L)``
+        indices ``cells`` of ``stories`` into the same cells of
+        ``memory``, one scatter along the flat cell axis for both
+        memories; sentence n belongs to a story of model ``model[n]``
+        (None: every sentence is model 0's)."""
         batch, slots, words = stories.shape
-        index = np.empty((words + 1, len(cells)), dtype=np.int64)
-        index[:words] = stories.reshape(-1, words).take(cells, axis=0).T
-        index[words] = cells % slots + self._vocab
-        if model is not None:
-            index += model * self._model_rows
-        rows = _bag_of_words(self._w_emb_ac, index.T)  # (N, [a | c])
+        rows = self.memory_rows(
+            stories.reshape(-1, words).take(cells, axis=0), cells % slots, model
+        )
         memory.reshape(2, batch * slots, -1)[:, cells] = rows.reshape(
             len(cells), 2, -1
         ).swapaxes(0, 1)
@@ -306,6 +321,26 @@ class _ForwardPass:
         # A running sum adds slots strictly left to right; ``sum`` pairs
         # them up in an order that depends on the padded slot count.
         return scores, exps / np.cumsum(exps, axis=1)[:, -1:]
+
+    @staticmethod
+    def read_memory(attention: np.ndarray, mem_c: np.ndarray) -> np.ndarray:
+        """Read vectors (Eq. 5), (B, E): the innermost loop runs along
+        the E output columns while the slots add up in order. A 1-wide
+        memory's slots are one contiguous run, which numpy would add
+        unrolled; a running sum keeps them left to right."""
+        if mem_c.shape[2] == 1:
+            return np.cumsum(attention * mem_c[:, :, 0], axis=1)[:, -1:]
+        return np.einsum("bl,ble->be", attention, mem_c, optimize=False)
+
+    def embed_questions(
+        self, questions: np.ndarray, route: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The first read keys (Eq. 3, t = 1): each question's
+        bag-of-words embedding, shape (B, E). ``route`` picks each row's
+        model (see the class docstring)."""
+        if route is not None:
+            questions = questions + (route * self._vocab)[:, None]
+        return _bag_of_words(self._w_emb_q, questions)
 
     # -- forward -------------------------------------------------------
     def _resolve_lengths(
@@ -362,23 +397,12 @@ class _ForwardPass:
             else None
         )
 
-        if route is None:
-            w_r_t = self._w_r_t[0]
-        else:
-            questions = questions + (route * self._vocab)[:, None]
-            w_r_t = self._w_r_t[route]
-        key = _bag_of_words(self._w_emb_q, questions)  # Eq. 3, t=1: (B, E)
+        w_r_t = self._w_r_t[0] if route is None else self._w_r_t[route]
+        key = self.embed_questions(questions, route)  # Eq. 3, t=1: (B, E)
         h = key
         for _ in range(self.hops):
             scores, attention = self.attention(mem_a, key, slot_mask)  # Eq. 1
-            # Eq. 5: the innermost loop runs along the E output columns
-            # while the slots add up in order. A 1-wide memory's slots are
-            # one contiguous run, which numpy would add unrolled; a running
-            # sum keeps them left to right.
-            if mem_c.shape[2] == 1:
-                read = np.cumsum(attention * mem_c[:, :, 0], axis=1)[:, -1:]
-            else:
-                read = np.einsum("bl,ble->be", attention, mem_c, optimize=False)
+            read = self.read_memory(attention, mem_c)  # Eq. 5
             h = read + inner_products(key, w_r_t)  # Eq. 4
             if trace is not None:
                 trace.keys.append(key)
@@ -398,7 +422,7 @@ class BatchInferenceEngine(_ForwardPass):
     pad row: word index 0 contributes nothing to any embedding (Eq. 2)
     even when the embedding matrices have a non-zero row 0, and
     attention mass beyond a story's real length is exactly zero —
-    matching the golden engine, which writes exactly one memory element
+    matching the accelerator, which writes exactly one memory element
     per streamed sentence.
 
     The output projection (Eq. 6) is pluggable: pass ``mips_backend``
@@ -407,8 +431,9 @@ class BatchInferenceEngine(_ForwardPass):
     argmax runs through that backend's vectorized ``search_batch``,
     surfacing per-example comparison counts and early-exit flags in
     :class:`BatchTrace`. With no backend (the default) or with the
-    exact backend, predictions are bit-identical to the golden trace's
-    ``np.argmax`` over the full logit matrix.
+    exact backend, predictions are the ``np.argmax`` over the full
+    logit matrix, and each row's label and logit have the bits of the
+    golden trace (this engine on that row alone).
 
     Serving callers normally do not construct this class directly:
     :func:`repro.serving.open_predictor` wraps it (device ``"sw"``)
@@ -538,8 +563,9 @@ class BatchInferenceEngine(_ForwardPass):
         return self.write_memory_cached(stories, lengths)
 
     def _project(self, h: np.ndarray) -> np.ndarray:
-        """Full output projection (Eq. 6): logits (B, V)."""
-        return h @ self.weights.w_o.T
+        """Full output projection (Eq. 6): logits (B, V), one gemv per
+        row."""
+        return inner_products(h, self.weights.w_o)
 
     def forward_trace(
         self,
@@ -554,7 +580,7 @@ class BatchInferenceEngine(_ForwardPass):
         stacked per-example statistics and ``trace.predictions`` are the
         backend's labels (identical to the argmax for exact backends).
         The traced path therefore pays Eq. 6 twice (full projection for
-        the golden-parity trace plus the backend's own scan) by design;
+        the trace plus the backend's own scan) by design;
         the untraced ``predict``/``search`` path pays only the backend.
         """
         h, trace = self._forward(stories, questions, lengths, record=True)

@@ -1,10 +1,11 @@
-"""Golden pure-numpy inference engine with a full intermediate trace.
+"""Per-example inference with a full intermediate trace.
 
 The hardware simulator (``repro.hw``) is functionally co-simulated
 against this engine: every intermediate the accelerator's modules
 produce (embedded memory rows, read keys, attention weights, read
 vectors, controller outputs, logits) is recorded here in the same order
-the hardware computes them.
+the hardware computes them. Both run the batch engine's kernels on one
+row, so they and every served answer agree bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.mann.batch import BatchInferenceEngine
+from repro.mann.batch import BatchInferenceEngine, infer_story_lengths
 from repro.mann.weights import MannWeights
-from repro.mips.backend import get_backend
 
 
 @dataclass
@@ -47,11 +47,12 @@ class InferenceEngine:
     are excluded, mirroring the accelerator which writes exactly one
     memory element per streamed sentence.
 
-    This is the low-level golden reference. For deployment-shaped
-    request/response serving over saved artifacts, use the facade:
-    :func:`repro.serving.open_predictor` hides this engine, the
-    vectorised :class:`~repro.mann.batch.BatchInferenceEngine` and the
-    accelerator co-simulation behind one ``Predictor`` object.
+    :meth:`forward_trace` is the batch engine (:attr:`batch`) run on a
+    one-row batch. For deployment-shaped request/response serving over
+    saved artifacts, use the facade: :func:`repro.serving.open_predictor`
+    hides this engine, the vectorised
+    :class:`~repro.mann.batch.BatchInferenceEngine` and the accelerator
+    co-simulation behind one ``Predictor`` object.
     """
 
     def __init__(
@@ -64,112 +65,44 @@ class InferenceEngine:
     ):
         self.weights = weights
         self.config = weights.config
-        # Fail at construction, not on the first lazy .batch access:
-        # the name must resolve, params need a backend, and backends
-        # that need a fitted ThresholdModel must get one.
-        if mips_backend is None and (threshold_model is not None or backend_params):
-            raise ValueError("backend parameters given without a mips_backend")
-        if isinstance(mips_backend, str):
-            backend_cls = get_backend(mips_backend)
-            if (
-                getattr(backend_cls, "requires_threshold_model", False)
-                and threshold_model is None
-            ):
-                raise ValueError(
-                    f"the {mips_backend!r} backend requires a fitted ThresholdModel"
-                )
-        self._mips_backend = mips_backend
-        self._threshold_model = threshold_model
-        self._backend_params = backend_params
-        self._batch: BatchInferenceEngine | None = None
-
-    @property
-    def batch(self) -> BatchInferenceEngine:
-        """Vectorised engine over the same weights (built on demand).
-
-        Inherits this engine's MIPS backend choice, so constructing
-        ``InferenceEngine(weights, mips_backend="threshold", ...)`` is
-        enough to run every batched entry point through that backend.
-        """
-        if self._batch is None:
-            self._batch = BatchInferenceEngine(
-                self.weights,
-                self._mips_backend,
-                threshold_model=self._threshold_model,
-                **self._backend_params,
-            )
-        return self._batch
-
-    # -- write path ----------------------------------------------------
-    def embed_sentence(self, word_indices: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Bag-of-words embedding (Eq. 2): sum of non-pad columns."""
-        idx = np.asarray(word_indices, dtype=np.int64)
-        idx = idx[idx != 0]
-        if idx.size == 0:
-            return np.zeros(matrix.shape[1], dtype=matrix.dtype)
-        return matrix[idx].sum(axis=0)
-
-    def write_memory(
-        self, story: np.ndarray, n_sentences: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Embed the story's sentences into address/content memories."""
-        w = self.weights
-        rows_a = []
-        rows_c = []
-        for slot in range(n_sentences):
-            rows_a.append(
-                self.embed_sentence(story[slot], w.w_emb_a) + w.t_a[slot]
-            )
-            rows_c.append(
-                self.embed_sentence(story[slot], w.w_emb_c) + w.t_c[slot]
-            )
-        return np.array(rows_a), np.array(rows_c)
-
-    # -- read path -----------------------------------------------------
-    @staticmethod
-    def attention(mem_a: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Content-based addressing (Eq. 1); returns (scores, weights)."""
-        scores = mem_a @ key
-        shifted = scores - scores.max()
-        exps = np.exp(shifted)
-        return scores, exps / exps.sum()
+        #: Vectorised engine over the same weights and MIPS backend; a
+        #: bad backend choice fails here, at construction.
+        self.batch = BatchInferenceEngine(
+            weights, mips_backend, threshold_model=threshold_model, **backend_params
+        )
 
     def forward_trace(self, story: np.ndarray, question: np.ndarray, n_sentences: int | None = None) -> InferenceTrace:
-        """Full forward pass of one example, recording every intermediate."""
-        w = self.weights
+        """Full forward pass of one example, recording every intermediate:
+        the batch engine's trace of the one-row batch ``story[:n]``."""
         story = np.asarray(story, dtype=np.int64)
         question = np.asarray(question, dtype=np.int64)
         if n_sentences is None:
-            used = np.flatnonzero(story.any(axis=1))
-            n_sentences = int(used[-1]) + 1 if used.size else 1
+            n_sentences = int(infer_story_lengths(story[None])[0])
         if not 1 <= n_sentences <= self.config.memory_size:
             raise ValueError(
                 f"n_sentences={n_sentences} outside [1, {self.config.memory_size}]"
             )
 
-        mem_a, mem_c = self.write_memory(story, n_sentences)
-        trace = InferenceTrace(mem_a=mem_a, mem_c=mem_c)
-
-        key = self.embed_sentence(question, w.w_emb_q)  # Eq. 3, t=1
-        for _ in range(self.config.hops):
-            trace.keys.append(key)
-            scores, attention = self.attention(mem_a, key)
-            trace.scores.append(scores)
-            trace.attentions.append(attention)
-            read = mem_c.T @ attention  # Eq. 5
-            trace.reads.append(read)
-            h = read + w.w_r.T @ key  # Eq. 4 (key @ w_r for row vectors)
-            trace.controller_outputs.append(h)
-            key = h
-
-        trace.logits = w.w_o @ trace.h_final  # Eq. 6
-        trace.prediction = int(np.argmax(trace.logits))
-        return trace
+        h, trace = self.batch._forward(
+            story[None, :n_sentences], question[None], np.array([n_sentences]),
+            record=True,
+        )
+        logits = self.batch._project(h)[0]  # Eq. 6
+        return InferenceTrace(
+            mem_a=trace.mem_a[0],
+            mem_c=trace.mem_c[0],
+            keys=[key[0] for key in trace.keys],
+            scores=[scores[0] for scores in trace.scores],
+            attentions=[attention[0] for attention in trace.attentions],
+            reads=[read[0] for read in trace.reads],
+            controller_outputs=[out[0] for out in trace.controller_outputs],
+            logits=logits,
+            prediction=int(np.argmax(logits)),
+        )
 
     # -- batch helpers ---------------------------------------------------
     # All whole-batch entry points delegate to the vectorised
-    # BatchInferenceEngine, which is np.allclose-parity-tested against
-    # forward_trace (tests/mann/test_batch_parity.py).
+    # BatchInferenceEngine.
     def predict(self, stories: np.ndarray, questions: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
         """Vectorised predictions (no trace) for a whole encoded batch."""
         return self.batch.predict(stories, questions, lengths)

@@ -39,8 +39,9 @@ Usage::
         response = await frontend.query(request)
 
 Every coroutine resolves: with a response, the flush's exception,
-``DeadlineExceededError`` (budget spent under "shed-expired"), or
-``OverloadError`` (request never admitted — nothing was enqueued).
+``DeadlineExceededError`` (budget spent under "shed-expired"),
+``OverloadError`` (request never admitted — nothing was enqueued), or
+``SchedulerClosedError`` (the query started after ``aclose()``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
 from repro.serving.api import QueryRequest, QueryResponse
+from repro.serving.errors import SchedulerClosedError
 
 
 class AsyncFrontend:
@@ -97,10 +99,12 @@ class AsyncFrontend:
         default. Raises :class:`~repro.serving.api.OverloadError` at a
         full queue, :class:`~repro.serving.api.DeadlineExceededError`
         when the budget is spent before the flush lands (policy
-        ``"shed-expired"``), or whatever the flush raised.
+        ``"shed-expired"``),
+        :class:`~repro.serving.errors.SchedulerClosedError` when the
+        query starts after :meth:`aclose`, or whatever the flush raised.
         """
         if self._closed:
-            raise RuntimeError("frontend is closed")
+            raise SchedulerClosedError("frontend is closed")
         request = self._with_deadline(request, deadline_s)
         return await asyncio.wrap_future(self.backend.submit_nowait(request))
 

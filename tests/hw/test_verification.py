@@ -5,6 +5,8 @@ import pytest
 
 from repro.hw import HwConfig, MannAccelerator
 from repro.hw.verification import verify_against_golden
+from repro.mann import InferenceEngine
+from repro.serving import QueryRequest, open_predictor
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +83,51 @@ class TestVerification:
         )
         n = int(batch.story_lengths[0])
         assert not np.allclose(mem.mem_a[:n], golden.mem_a)
+
+
+def _bits(logit: float) -> bytes:
+    return np.float64(logit).tobytes()
+
+
+class TestOneAnswer:
+    """One forward pass: the golden trace, the served software engine
+    and the served co-simulation give every query the same answer."""
+
+    @pytest.mark.parametrize("backend", ["exact", "threshold"])
+    def test_golden_sw_and_hw_agree_bit_for_bit(self, small_suite, backend):
+        params = {"rho": 1.0} if backend == "threshold" else {}
+        for system in small_suite.tasks.values():
+            batch = system.test_batch
+            golden = InferenceEngine(
+                system.weights,
+                backend,
+                threshold_model=system.threshold_model,
+                **params,
+            )
+            sw = open_predictor(system, device="sw", mips_backend=backend, **params)
+            hw = open_predictor(system, device="hw", mips_backend=backend, **params)
+            requests = [
+                QueryRequest(
+                    batch.stories[i], batch.questions[i], int(batch.story_lengths[i])
+                )
+                for i in range(len(batch))
+            ]
+            served = zip(sw.predict_batch(requests), hw.predict_batch(requests))
+            for i, (sw_answer, hw_answer) in enumerate(served):
+                trace = golden.forward_trace(
+                    batch.stories[i], batch.questions[i], int(batch.story_lengths[i])
+                )
+                # The golden answer: the same output search over h_T.
+                answer = golden.batch.mips.search(trace.h_final)
+                assert sw_answer.label == hw_answer.label == answer.label
+                assert (
+                    _bits(sw_answer.logit)
+                    == _bits(hw_answer.logit)
+                    == _bits(answer.logit)
+                )
+                if backend == "exact":
+                    assert trace.prediction == answer.label
+                    assert _bits(trace.logits[answer.label]) == _bits(answer.logit)
+            report = verify_against_golden(hw.accelerator, batch)
+            assert report.n_examples == len(batch) == 40
+            assert report.bit_exact, report.summary()

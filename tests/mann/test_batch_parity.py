@@ -1,10 +1,13 @@
-"""Golden-parity property tests for the vectorised batch engine.
+"""Parity tests for the forward pass (Eqs. 1-6).
 
-The batch engine must reproduce the per-example golden engine
-(`forward_trace`) on arbitrary weights and ragged batches — including
-weights whose pad embedding row is NOT zero, stories with interior
-all-pad sentences, single-sentence stories and all-pad questions — to
-within float tolerance, across many random seeds.
+The batch engine must reproduce an independent per-example numpy
+reference (:func:`reference_trace`, written out below) on arbitrary
+weights and ragged batches — including weights whose pad embedding row
+is NOT zero, stories with interior all-pad sentences, single-sentence
+stories and all-pad questions — to within float tolerance, across many
+random seeds. The per-example golden engine
+(``InferenceEngine.forward_trace``) runs the batch engine's kernels on
+one row, so it must match the batch engine bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from repro.mann import (
 )
 from repro.mann import batch as batch_module
 from repro.mann.batch import EngineStack, _bag_of_words
-from repro.mips import fit_threshold_model
+from repro.mann.inference import InferenceTrace
+from repro.mips import BatchSearchResult, fit_threshold_model
 from repro.serving.cache import MemoryCache
 
 ATOL = 1e-10
@@ -78,15 +82,66 @@ def random_batch(
     return stories.astype(np.int64), questions.astype(np.int64), lengths
 
 
-def golden_stack(engine: InferenceEngine, stories, questions, lengths):
-    """Per-example forward_trace results stacked the seed way."""
-    logits, preds, h_final = [], [], []
-    for i in range(len(stories)):
-        trace = engine.forward_trace(stories[i], questions[i], int(lengths[i]))
-        logits.append(trace.logits)
-        preds.append(trace.prediction)
-        h_final.append(trace.h_final)
-    return np.stack(logits), np.array(preds), np.stack(h_final)
+# -- the independent reference: one example at a time, plain numpy ------
+def reference_embed(word_indices: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Bag-of-words embedding (Eq. 2): the sum of the non-pad rows."""
+    return matrix[word_indices[word_indices != 0]].sum(axis=0)
+
+
+def reference_trace(
+    weights: MannWeights, story: np.ndarray, question: np.ndarray, n: int
+) -> InferenceTrace:
+    """Eqs. 1-6 for one example over its ``n`` real sentences."""
+    w = weights
+    trace = InferenceTrace(
+        mem_a=np.array(
+            [reference_embed(story[s], w.w_emb_a) + w.t_a[s] for s in range(n)]
+        ),
+        mem_c=np.array(
+            [reference_embed(story[s], w.w_emb_c) + w.t_c[s] for s in range(n)]
+        ),
+    )
+    key = reference_embed(question, w.w_emb_q)  # Eq. 3, t=1
+    for _ in range(w.config.hops):
+        scores = trace.mem_a @ key  # Eq. 1
+        exps = np.exp(scores - scores.max())
+        attention = exps / exps.sum()
+        read = trace.mem_c.T @ attention  # Eq. 5
+        h = read + w.w_r.T @ key  # Eq. 4 (key @ w_r for row vectors)
+        trace.keys.append(key)
+        trace.scores.append(scores)
+        trace.attentions.append(attention)
+        trace.reads.append(read)
+        trace.controller_outputs.append(h)
+        key = h  # Eq. 3, t > 1
+    trace.logits = w.w_o @ key  # Eq. 6
+    trace.prediction = int(np.argmax(trace.logits))
+    return trace
+
+
+def story_length(story: np.ndarray) -> int:
+    """Index of the last non-pad sentence + 1; an all-pad story takes one
+    slot."""
+    used = np.flatnonzero(story.any(axis=1))
+    return int(used[-1]) + 1 if used.size else 1
+
+
+def reference_stack(weights, stories, questions, lengths):
+    """Per-example reference results stacked: logits, predictions, h_T."""
+    traces = [
+        reference_trace(weights, stories[i], questions[i], int(lengths[i]))
+        for i in range(len(stories))
+    ]
+    return (
+        np.stack([t.logits for t in traces]),
+        np.array([t.prediction for t in traces]),
+        np.stack([t.h_final for t in traces]),
+    )
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -97,16 +152,21 @@ def test_batch_matches_golden_on_ragged_batches(seed):
     golden = InferenceEngine(weights)
     batch = BatchInferenceEngine(weights)
 
-    g_logits, g_preds, g_h = golden_stack(golden, stories, questions, lengths)
+    r_logits, r_preds, r_h = reference_stack(weights, stories, questions, lengths)
     b_logits = batch.logits(stories, questions, lengths)
     b_preds = batch.predict(stories, questions, lengths)
     trace = batch.forward_trace(stories, questions, lengths)
 
-    assert np.allclose(b_logits, g_logits, atol=ATOL)
-    assert np.array_equal(b_preds, g_preds)
-    assert np.allclose(trace.h_final, g_h, atol=ATOL)
-    assert np.allclose(trace.logits, b_logits, atol=ATOL)
+    assert np.allclose(b_logits, r_logits, atol=ATOL)
+    assert np.array_equal(b_preds, r_preds)
+    assert np.allclose(trace.h_final, r_h, atol=ATOL)
+    assert same_bits(trace.logits, b_logits)
     assert np.array_equal(trace.predictions, b_preds)
+    for i in range(len(stories)):
+        g = golden.forward_trace(stories[i], questions[i], int(lengths[i]))
+        assert same_bits(g.logits, b_logits[i])
+        assert same_bits(g.h_final, trace.h_final[i])
+        assert g.prediction == b_preds[i]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -121,44 +181,54 @@ def test_batch_trace_intermediates_match_golden(seed):
 
     for i in range(len(stories)):
         n = int(lengths[i])
+        r = reference_trace(weights, stories[i], questions[i], n)
         g = golden.forward_trace(stories[i], questions[i], n)
-        assert np.allclose(trace.mem_a[i, :n], g.mem_a, atol=ATOL)
-        assert np.allclose(trace.mem_c[i, :n], g.mem_c, atol=ATOL)
+        assert np.allclose(trace.mem_a[i, :n], r.mem_a, atol=ATOL)
+        assert np.allclose(trace.mem_c[i, :n], r.mem_c, atol=ATOL)
+        assert same_bits(g.mem_a, trace.mem_a[i, :n])
+        assert same_bits(g.mem_c, trace.mem_c[i, :n])
         # Pad slots carry zero memory rows and zero attention mass.
         assert np.all(trace.mem_a[i, n:] == 0)
         assert np.all(trace.mem_c[i, n:] == 0)
         for t in range(weights.config.hops):
-            assert np.allclose(trace.keys[t][i], g.keys[t], atol=ATOL)
-            assert np.allclose(trace.scores[t][i, :n], g.scores[t], atol=ATOL)
+            assert np.allclose(trace.keys[t][i], r.keys[t], atol=ATOL)
+            assert np.allclose(trace.scores[t][i, :n], r.scores[t], atol=ATOL)
             assert np.all(np.isneginf(trace.scores[t][i, n:]))
             assert np.allclose(
-                trace.attentions[t][i, :n], g.attentions[t], atol=ATOL
+                trace.attentions[t][i, :n], r.attentions[t], atol=ATOL
             )
             assert np.all(trace.attentions[t][i, n:] == 0)
             assert np.isclose(trace.attentions[t][i].sum(), 1.0)
-            assert np.allclose(trace.reads[t][i], g.reads[t], atol=ATOL)
+            assert np.allclose(trace.reads[t][i], r.reads[t], atol=ATOL)
             assert np.allclose(
-                trace.controller_outputs[t][i], g.controller_outputs[t],
+                trace.controller_outputs[t][i], r.controller_outputs[t],
                 atol=ATOL,
+            )
+            assert same_bits(g.keys[t], trace.keys[t][i])
+            assert same_bits(g.scores[t], trace.scores[t][i, :n])
+            assert same_bits(g.attentions[t], trace.attentions[t][i, :n])
+            assert same_bits(g.reads[t], trace.reads[t][i])
+            assert same_bits(
+                g.controller_outputs[t], trace.controller_outputs[t][i]
             )
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_inferred_lengths_match_golden_inference(seed):
-    """With lengths omitted, both engines infer per-example lengths."""
+    """With lengths omitted, every engine infers per-example lengths."""
     rng = np.random.default_rng(200 + seed)
     weights = random_weights(rng)
-    stories, questions, lengths = random_batch(rng)
+    stories, questions, _ = random_batch(rng)
     golden = InferenceEngine(weights)
     batch = BatchInferenceEngine(weights)
 
-    g_logits = np.stack(
-        [
-            golden.forward_trace(stories[i], questions[i]).logits
-            for i in range(len(stories))
-        ]
-    )
-    assert np.allclose(batch.logits(stories, questions), g_logits, atol=ATOL)
+    lengths = [story_length(story) for story in stories]
+    r_logits, _, _ = reference_stack(weights, stories, questions, lengths)
+    b_logits = batch.logits(stories, questions)
+    assert np.allclose(b_logits, r_logits, atol=ATOL)
+    for i in range(len(stories)):
+        g = golden.forward_trace(stories[i], questions[i])
+        assert same_bits(g.logits, b_logits[i])
 
 
 def test_degenerate_cases_match_golden():
@@ -178,16 +248,18 @@ def test_degenerate_cases_match_golden():
     )
     lengths = np.array([1, 1, memory])
 
-    g_logits, g_preds, _ = golden_stack(golden, stories, questions, lengths)
-    assert np.allclose(
-        batch.logits(stories, questions, lengths), g_logits, atol=ATOL
-    )
-    assert np.array_equal(batch.predict(stories, questions, lengths), g_preds)
+    r_logits, r_preds, _ = reference_stack(weights, stories, questions, lengths)
+    b_logits = batch.logits(stories, questions, lengths)
+    assert np.allclose(b_logits, r_logits, atol=ATOL)
+    assert np.array_equal(batch.predict(stories, questions, lengths), r_preds)
+    for i in range(len(stories)):
+        g = golden.forward_trace(stories[i], questions[i], int(lengths[i]))
+        assert same_bits(g.logits, b_logits[i])
 
     # A single-example batch degenerates cleanly too.
     assert np.allclose(
         batch.logits(stories[:1], questions[:1], lengths[:1]),
-        g_logits[:1],
+        r_logits[:1],
         atol=ATOL,
     )
 
@@ -246,8 +318,13 @@ def test_engine_batch_helpers_delegate_to_batch_engine():
 
 
 # -- batch independence: a row's bits never depend on its batch ---------
-def _bits(result, rows=slice(None)):
-    return result.labels[rows].tolist(), result.logits[rows].tobytes()
+def _row_bits(result) -> list:
+    """Each row's answer as bits: a search's label and winning logit, or
+    a row of the logit matrix."""
+    if isinstance(result, BatchSearchResult):
+        logits = [logit.tobytes() for logit in result.logits]
+        return list(zip(result.labels.tolist(), logits))
+    return [row.tobytes() for row in result]
 
 
 @settings(max_examples=25, deadline=None)
@@ -274,7 +351,8 @@ def test_search_bits_independent_of_the_batch(
     """For both stackable backends, ``search`` gives a row the same label
     and logit bits alone, at every position of a larger batch, and with
     extra all-pad slots and words — the contract that lets a served
-    answer ignore what it was batched with."""
+    answer ignore what it was batched with. ``logits()`` gives a row the
+    same bits in each of those layouts too."""
     rng = np.random.default_rng(seed)
     vocab = 17
     weights = random_weights(
@@ -287,24 +365,26 @@ def test_search_bits_independent_of_the_batch(
     model = fit_threshold_model(train_logits, train_logits.argmax(axis=1))
     padded_stories = np.pad(stories, ((0, 0), (0, extra_slots), (0, extra_words)))
     padded_questions = np.pad(questions, ((0, 0), (0, extra_words)))
+    calls = {"logits": BatchInferenceEngine(weights).logits}
     for backend in ("exact", "threshold"):
-        engine = BatchInferenceEngine(weights, backend, threshold_model=model)
-        whole = engine.search(stories, questions, lengths)
+        calls[backend] = BatchInferenceEngine(
+            weights, backend, threshold_model=model
+        ).search
+    for name, call in calls.items():
+        whole = _row_bits(call(stories, questions, lengths))
         alone = [
-            _bits(
-                engine.search(
-                    stories[i : i + 1], questions[i : i + 1], lengths[i : i + 1]
-                )
-            )
+            _row_bits(
+                call(stories[i : i + 1], questions[i : i + 1], lengths[i : i + 1])
+            )[0]
             for i in range(batch)
         ]
-        assert [_bits(whole, slice(i, i + 1)) for i in range(batch)] == alone, backend
-        padded = engine.search(padded_stories, padded_questions, lengths)
-        assert _bits(padded) == _bits(whole), backend
+        assert whole == alone, name
+        padded = call(padded_stories, padded_questions, lengths)
+        assert _row_bits(padded) == whole, name
         for shift in range(1, batch):
             order = np.roll(np.arange(batch), shift)
-            moved = engine.search(stories[order], questions[order], lengths[order])
-            assert _bits(moved) == _bits(whole, order), backend
+            moved = call(stories[order], questions[order], lengths[order])
+            assert _row_bits(moved) == [whole[i] for i in order], name
 
 
 # -- chunked bag-of-words gather: bit identity across chunk boundaries ---
@@ -423,15 +503,6 @@ class TestEmbeddingDtype:
             BatchInferenceEngine(mixed)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_golden_empty_sentence_dtype(self, dtype):
-        rng = np.random.default_rng(1)
-        weights = random_weights(rng, dtype=dtype)
-        engine = InferenceEngine(weights)
-        out = engine.embed_sentence(np.zeros(4, dtype=np.int64), weights.w_emb_a)
-        assert out.dtype == dtype
-        assert np.array_equal(out, np.zeros(weights.config.embed_dim, dtype))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batch_embedding_dtype(self, dtype):
         rng = np.random.default_rng(2)
         weights = random_weights(rng, dtype=dtype)
@@ -440,6 +511,7 @@ class TestEmbeddingDtype:
         out = _bag_of_words(batch._w_emb_q, indices)
         assert out.dtype == dtype
         assert np.array_equal(out[0], np.zeros(weights.config.embed_dim, dtype))
+        assert np.array_equal(out[1], weights.w_emb_q[3] + weights.w_emb_q[5])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_logits_dtype_follows_weights(self, dtype):

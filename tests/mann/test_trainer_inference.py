@@ -136,19 +136,6 @@ class TestInferenceEngine:
                 engine.config.memory_size + 1,
             )
 
-    def test_embed_sentence_skips_pads(self, task1_system):
-        engine = task1_system["engine"]
-        w = task1_system["weights"]
-        indices = np.array([3, 0, 5, 0])
-        out = engine.embed_sentence(indices, w.w_emb_a)
-        assert np.allclose(out, w.w_emb_a[3] + w.w_emb_a[5])
-
-    def test_embed_empty_sentence_is_zero(self, task1_system):
-        engine = task1_system["engine"]
-        w = task1_system["weights"]
-        out = engine.embed_sentence(np.zeros(4, dtype=int), w.w_emb_a)
-        assert np.array_equal(out, np.zeros(w.w_emb_a.shape[1]))
-
     def test_accuracy_helper(self, task1_system):
         engine = task1_system["engine"]
         batch = task1_system["test_batch"]

@@ -29,6 +29,7 @@ from repro.serving import (
     OverloadError,
     QueryRequest,
     QueryResponse,
+    SchedulerClosedError,
 )
 
 
@@ -132,10 +133,14 @@ class TestAsyncBridge:
                 BatchScheduler(StubPredictor(), max_batch=1)
             )
             response = await frontend.query(_request(0))
+            # Created before aclose(), first run after it.
+            late = asyncio.ensure_future(frontend.query(_request(2)))
             await frontend.aclose()
             await frontend.aclose()
-            with pytest.raises(RuntimeError, match="closed"):
+            with pytest.raises(SchedulerClosedError, match="closed"):
                 await frontend.query(_request(1))
+            with pytest.raises(SchedulerClosedError, match="closed"):
+                await late
             return response
 
         assert asyncio.run(run()).label == 0
