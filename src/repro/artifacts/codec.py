@@ -1,9 +1,12 @@
 """Array codecs (and the manifest format version) for fitted state.
 
 A fitted :class:`~repro.mips.thresholding.ThresholdModel` is one
-non-trivial artifact: per-index histogram pairs (ragged dicts of
-:class:`LogitHistogram`), optional Gaussian KDEs (ragged sample
-vectors), priors, silhouettes and the visit order. The other is a
+non-trivial artifact: two per-index histogram count matrices over one
+shared set of bin edges, optional Gaussian KDEs (ragged sample
+vectors), priors, silhouettes and the visit order. The histograms are
+stored as the rows with samples (``pos_indices``, ``pos_edges`` with
+the shared edges repeated per row, ``pos_counts``, and the same for
+``neg_``), the layout of every version. The other is a
 :class:`~repro.mann.quantize.QuantizedWeights` snapshot, stored as the
 integer codes a device memory would hold plus its Qm.n format. Both
 directions of both codecs are bit-exact — edges, counts, samples,
@@ -25,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mann.quantize import QFormat, QuantizedWeights
-from repro.mips.histograms import GaussianKde, LogitHistogram
+from repro.mips.histograms import GaussianKde
 from repro.mips.thresholding import ThresholdModel
 
 #: Version written into every new manifest.
@@ -59,29 +62,19 @@ def check_format_version(version) -> int:
     return version
 
 
-def _encode_hists(
-    hists: dict[int, LogitHistogram], prefix: str, out: dict[str, np.ndarray]
+def _encode_counts(
+    counts: np.ndarray, edges: np.ndarray, prefix: str, out: dict[str, np.ndarray]
 ) -> None:
-    """Stack a per-index histogram dict into ``prefix_{indices,edges,counts}``."""
-    indices = np.array(sorted(hists), dtype=np.int64)
-    if indices.size:
-        edges = np.stack([hists[int(i)].edges for i in indices])
-        counts = np.stack([hists[int(i)].counts for i in indices])
-    else:
-        edges = np.zeros((0, 2), dtype=np.float64)
-        counts = np.zeros((0, 1), dtype=np.int64)
+    """Store the rows of ``counts`` with samples as
+    ``prefix_{indices,edges,counts}``, one copy of ``edges`` per row."""
+    indices = np.flatnonzero(counts.any(axis=1)).astype(np.int64)
     out[f"{prefix}_indices"] = indices
-    out[f"{prefix}_edges"] = edges
-    out[f"{prefix}_counts"] = counts
-
-
-def _decode_hists(data, prefix: str) -> dict[int, LogitHistogram]:
-    edges = data[f"{prefix}_edges"]
-    counts = data[f"{prefix}_counts"]
-    return {
-        int(index): LogitHistogram.from_arrays(edges[row], counts[row])
-        for row, index in enumerate(data[f"{prefix}_indices"])
-    }
+    if indices.size:
+        out[f"{prefix}_edges"] = np.tile(edges, (indices.size, 1))
+        out[f"{prefix}_counts"] = counts[indices]
+    else:
+        out[f"{prefix}_edges"] = np.zeros((0, 2), dtype=np.float64)
+        out[f"{prefix}_counts"] = np.zeros((0, 1), dtype=np.int64)
 
 
 def _encode_kdes(
@@ -122,8 +115,8 @@ def encode_threshold_model(model: ThresholdModel) -> dict[str, np.ndarray]:
         "order": model.order,
         "uses_kde": np.array(model.uses_kde),
     }
-    _encode_hists(model.positive_hists, "pos", arrays)
-    _encode_hists(model.negative_hists, "neg", arrays)
+    _encode_counts(model.positive_counts, model.edges, "pos", arrays)
+    _encode_counts(model.negative_counts, model.edges, "neg", arrays)
     if model.uses_kde:
         _encode_kdes(model.positive_kdes or {}, "pos_kde", arrays)
         _encode_kdes(model.negative_kdes or {}, "neg_kde", arrays)
@@ -158,11 +151,24 @@ def decode_quantized_weights(data, config) -> QuantizedWeights:
 
 def decode_threshold_model(data) -> ThresholdModel:
     """Inverse of :func:`encode_threshold_model` (npz file or dict)."""
+    n_indices = int(data["n_indices"])
+    indices = {sign: data[f"{sign}_indices"] for sign in ("pos", "neg")}
+    edge_rows = [data[f"{sign}_edges"] for sign in indices if len(indices[sign])]
+    # A model with no samples at all stores no edges; one bin of any
+    # width gives it the same all-inf thresholds.
+    edges = edge_rows[0][0].copy() if edge_rows else np.zeros(2)
+    for rows in edge_rows:
+        if rows.shape[1:] != edges.shape or (rows != edges).any():
+            raise ValueError("threshold histograms do not share one set of bin edges")
+    counts = {}
+    for sign, rows in indices.items():
+        counts[sign] = np.zeros((n_indices, len(edges) - 1), dtype=np.int64)
+        counts[sign][rows] = data[f"{sign}_counts"]
     uses_kde = bool(data["uses_kde"])
     return ThresholdModel(
-        n_indices=int(data["n_indices"]),
-        positive_hists=_decode_hists(data, "pos"),
-        negative_hists=_decode_hists(data, "neg"),
+        edges=edges,
+        positive_counts=counts["pos"],
+        negative_counts=counts["neg"],
         priors=np.asarray(data["priors"], dtype=np.float64).copy(),
         silhouettes=np.asarray(data["silhouettes"], dtype=np.float64).copy(),
         order=np.asarray(data["order"], dtype=np.int64).copy(),

@@ -163,6 +163,7 @@ class MannAccelerator:
             key_fifo,
             read_vec_fifo,
             ack_fifo,
+            dtype=forward.dtype,
         )
         read = ReadModule(
             env, lat, forward, to_read, key_fifo, read_vec_fifo, search_fifo

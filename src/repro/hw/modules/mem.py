@@ -21,7 +21,12 @@ from repro.mann.batch import _ForwardPass
 
 
 class MemModule:
-    """Stores embedded rows and serves attention reads."""
+    """Stores embedded rows and serves attention reads.
+
+    The memories hold ``dtype``, the dtype of the forward pass whose
+    kernels the module calls, so Eqs. 1 and 5 run in the weights' dtype
+    as they do in the golden trace and the served engine.
+    """
 
     def __init__(
         self,
@@ -32,6 +37,7 @@ class MemModule:
         key_in: Fifo,
         read_out: Fifo,
         write_ack: Fifo | None = None,
+        dtype: np.dtype = np.dtype(np.float64),
     ):
         self.env = env
         self.latency = latency
@@ -41,8 +47,8 @@ class MemModule:
         self.read_out = read_out
         self.write_ack = write_ack
         embed_dim = latency.embed_dim
-        self.mem_a = np.zeros((memory_size, embed_dim))
-        self.mem_c = np.zeros((memory_size, embed_dim))
+        self.mem_a = np.zeros((memory_size, embed_dim), dtype=dtype)
+        self.mem_c = np.zeros((memory_size, embed_dim), dtype=dtype)
         self.rows_valid = 0
         self.busy_cycles = 0
         self.reads_served = 0

@@ -227,6 +227,11 @@ class _ForwardPass:
             np.stack([w.w_r for w in weights]).transpose(0, 2, 1)
         )
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype every memory row and hop runs in: the weights'."""
+        return self._w_emb_ac.dtype
+
     # -- write path ----------------------------------------------------
     def _new_memory(self, batch: int, slots: int) -> np.ndarray:
         """Zeroed ``(2, B, L, E)`` memory: ``[0]`` is the address memory,

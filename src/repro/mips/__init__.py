@@ -8,8 +8,11 @@ pluggable, string-keyed *backend* layer (:mod:`repro.mips.backend`):
   search (Fig. 2a), counting every dot product and comparison.
 * ``"threshold"`` — :class:`InferenceThresholding`, the paper's
   data-based speculative MIPS (Algorithm 1, Fig. 2b): per-index logit
-  distributions estimated on the training set, Bayes-posterior
-  thresholds, and an efficient visiting order by silhouette coefficient.
+  distributions estimated on the training set (a :class:`ThresholdModel`
+  holds them as two histogram count matrices over one shared set of bin
+  edges; :class:`GaussianKde` is the optional kernel estimate),
+  Bayes-posterior thresholds, and an efficient visiting order by
+  silhouette coefficient.
 * ``"alsh"`` / ``"clustering"`` — related-work baselines: asymmetric
   LSH (Shrivastava & Li 2014) and spherical k-means clustering MIPS
   (Auvolat et al. 2015).
@@ -29,7 +32,7 @@ from repro.mips.backend import (
     register_backend,
 )
 from repro.mips.exact import ExactMips
-from repro.mips.histograms import GaussianKde, LogitHistogram
+from repro.mips.histograms import GaussianKde
 from repro.mips.lsh import AlshMips
 from repro.mips.clustering import ClusteringMips
 from repro.mips.ordering import index_order_by_silhouette, silhouette_coefficient
@@ -44,7 +47,6 @@ __all__ = [
     "inner_products",
     "register_backend",
     "ExactMips",
-    "LogitHistogram",
     "GaussianKde",
     "AlshMips",
     "ClusteringMips",

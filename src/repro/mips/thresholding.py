@@ -1,11 +1,15 @@
 """Inference thresholding — the paper's Algorithm 1.
 
 Step 1  estimate per-index logit distributions on correctly classified
-        training examples (histogram HG_i for "i was the argmax",
-        HG_ibar for "i was not").
-Step 2  turn them into thresholds: theta_i is the smallest logit whose
-        Bayes posterior p(y=i | z_i) reaches the thresholding constant
-        rho.
+        training examples: histogram HG_i of z_i where i was the
+        argmax, HG_ibar where it was not. Every histogram shares one
+        set of bin edges, so the two families are two
+        (n_indices, n_bins) count matrices, filled by one
+        ``bincount`` each.
+Step 2  turn them into thresholds: theta_i is the smallest bin centre
+        with positive mass whose Bayes posterior p(y=i | z_i) reaches
+        the thresholding constant rho, evaluated for every (index, bin
+        centre) pair at once.
 Step 3  order indices by descending silhouette coefficient.
 Step 4  at inference, scan indices in that order and return index a as
         soon as z_a > theta_a; fall back to the exact argmax when no
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mips.backend import as_query_matrix, ordered_scan, register_backend
-from repro.mips.histograms import GaussianKde, LogitHistogram
+from repro.mips.histograms import GaussianKde
 from repro.mips.ordering import index_order_by_silhouette, silhouette_coefficient
 from repro.mips.stats import BatchSearchResult, SearchResult
 
@@ -31,15 +35,19 @@ class ThresholdModel:
     ``thresholds(rho)`` materialises Step 2 for a given rho so one fit
     can serve the whole Fig. 3 sweep.
 
-    Densities default to the cheap fixed-bin histograms (``HG_i`` in
-    Algorithm 1); when fitted with ``density="kde"`` the posteriors use
+    Row i of ``positive_counts`` is HG_i and row i of
+    ``negative_counts`` is HG_ibar, both over the shared ``edges``; an
+    index with no sample of a sign has an all-zero row, which has
+    density 0 everywhere. Densities default to these cheap fixed-bin
+    histograms; when fitted with ``density="kde"`` the posteriors use
     Gaussian kernel density estimates instead — the estimator the paper
-    names for ``p(z_i | y = i)`` — at higher fitting cost.
+    names for ``p(z_i | y = i)`` — at higher fitting cost, and the
+    histograms only say which bin centres are candidates.
     """
 
-    n_indices: int
-    positive_hists: dict[int, LogitHistogram]
-    negative_hists: dict[int, LogitHistogram]
+    edges: np.ndarray  # (n_bins + 1,), shared by every index
+    positive_counts: np.ndarray  # (n_indices, n_bins) int64, HG_i
+    negative_counts: np.ndarray  # (n_indices, n_bins) int64, HG_ibar
     priors: np.ndarray  # p(y = i) on the training set
     silhouettes: np.ndarray
     order: np.ndarray  # descending silhouette (Step 3)
@@ -47,55 +55,91 @@ class ThresholdModel:
     negative_kdes: dict[int, GaussianKde] | None = None
 
     @property
+    def n_indices(self) -> int:
+        return len(self.positive_counts)
+
+    @property
     def uses_kde(self) -> bool:
         return self.positive_kdes is not None
 
-    def _densities(self, index: int, value: float) -> tuple[float, float]:
+    def bin_centers(self) -> np.ndarray:
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
+
+    def _likelihoods(self, indices: np.ndarray, values: np.ndarray):
+        """p(z_i = v | y = i) and p(z_i = v | y != i), each with a row per
+        index i in ``indices`` and a column per value v in ``values``."""
         if self.uses_kde:
-            pos = self.positive_kdes.get(index)
-            neg = (self.negative_kdes or {}).get(index)
-            like_pos = float(pos.pdf(value)) if pos is not None else 0.0
-            like_neg = float(neg.pdf(value)) if neg is not None else 0.0
-            return like_pos, like_neg
-        pos = self.positive_hists.get(index)
-        neg = self.negative_hists.get(index)
-        like_pos = pos.pdf(value) if pos is not None and pos.total else 0.0
-        like_neg = neg.pdf(value) if neg is not None and neg.total else 0.0
-        return like_pos, like_neg
+            return (
+                _kde_pdfs(self.positive_kdes, indices, values),
+                _kde_pdfs(self.negative_kdes or {}, indices, values),
+            )
+        n_bins = len(self.edges) - 1
+        bins = np.searchsorted(self.edges, values, side="right") - 1
+        np.clip(bins, 0, n_bins - 1, out=bins)
+        width = self.edges[1] - self.edges[0]
+        return (
+            _histogram_pdfs(self.positive_counts[indices], bins, width),
+            _histogram_pdfs(self.negative_counts[indices], bins, width),
+        )
+
+    def _posteriors(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """p(y = i | z_i = v) via Bayes over the two densities, for every
+        index i in ``indices`` (rows) and value v in ``values`` (columns);
+        0 where both densities vanish."""
+        like_pos, like_neg = self._likelihoods(indices, values)
+        prior = self.priors[indices, None]
+        like_pos = like_pos * prior
+        like_neg = like_neg * (1.0 - prior)
+        denom = like_pos + like_neg
+        posterior = np.zeros_like(denom)
+        np.divide(like_pos, denom, out=posterior, where=denom > 0)
+        return posterior
 
     def posterior(self, index: int, value: float) -> float:
         """p(y = i | z_i = value) via Bayes over the two densities."""
-        if index not in self.positive_hists or not self.positive_hists[index].total:
-            return 0.0
-        prior = float(self.priors[index])
-        like_pos, like_neg = self._densities(index, value)
-        like_pos *= prior
-        like_neg *= 1.0 - prior
-        denom = like_pos + like_neg
-        return like_pos / denom if denom > 0 else 0.0
+        posterior = self._posteriors(np.array([index]), np.array([float(value)]))
+        return float(posterior[0, 0])
 
     def thresholds(self, rho: float) -> np.ndarray:
         """Step 2: theta_i = min{ z : p(y=i|z) >= rho } per index.
 
-        Indices with no positive training mass get +inf (never
-        speculated). rho may be 1.0: bins where the negative histogram
-        has zero density then define the threshold.
+        The candidates are the bin centres where HG_i has mass. Indices
+        with no positive training mass get +inf (never speculated). rho
+        may be 1.0: bins where the negative density is zero then define
+        the threshold.
         """
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho must be in (0, 1], got {rho}")
+        rows = np.flatnonzero(self.positive_counts.any(axis=1))
+        centers = self.bin_centers()
+        passes = (self.positive_counts[rows] > 0) & (
+            self._posteriors(rows, centers) >= rho
+        )
         theta = np.full(self.n_indices, np.inf)
-        for index, pos in self.positive_hists.items():
-            if pos.total == 0:
-                continue
-            centers = pos.bin_centers()
-            candidates = [
-                center
-                for center, count in zip(centers, pos.counts)
-                if count > 0 and self.posterior(index, float(center)) >= rho
-            ]
-            if candidates:
-                theta[index] = float(min(candidates))
+        theta[rows] = np.where(
+            passes.any(axis=1), centers[passes.argmax(axis=1)], np.inf
+        )
         return theta
+
+
+def _histogram_pdfs(counts: np.ndarray, bins: np.ndarray, width: float) -> np.ndarray:
+    """Each count row's density at ``bins``; 0 for an empty row."""
+    total = counts.sum(axis=1, keepdims=True)
+    pdf = np.zeros((len(counts), len(bins)))
+    np.divide(counts[:, bins], total * width, out=pdf, where=total > 0)
+    return pdf
+
+
+def _kde_pdfs(
+    kdes: dict[int, GaussianKde], indices: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Each index's KDE density at ``values``, one call per KDE; 0 for an
+    index without one."""
+    pdf = np.zeros((len(indices), len(values)))
+    for row, index in enumerate(indices.tolist()):
+        if index in kdes:
+            pdf[row] = kdes[index].pdf(values)
+    return pdf
 
 
 def fit_threshold_model(
@@ -130,59 +174,48 @@ def fit_threshold_model(
     high = float(logits.max())
     pad = (high - low) * range_padding + 1e-9
     low, high = low - pad, high + pad
+    if not np.isfinite(low) or not np.isfinite(high) or low >= high:
+        raise ValueError(f"invalid histogram range [{low}, {high}]")
+    if n_bins < 2:
+        raise ValueError("need at least 2 bins")
+    edges = np.linspace(low, high, n_bins + 1)
 
-    positive_hists: dict[int, LogitHistogram] = {}
-    negative_hists: dict[int, LogitHistogram] = {}
-    positive_samples: dict[int, np.ndarray] = {}
-    negative_samples: dict[int, np.ndarray] = {}
-    prior_counts = np.bincount(labels, minlength=n_indices).astype(np.float64)
-
-    # Algorithm 1 only learns from correct predictions. The statistics
-    # are split per index with boolean masks over the whole (batched)
-    # logit matrix rather than a per-row Python loop.
+    # Algorithm 1 only learns from correct predictions. Every correct
+    # logit z_i falls in one cell (i, bin) of its sign's count matrix;
+    # values outside the range land in the edge bins.
     correct = logits.argmax(axis=1) == labels
     correct_logits = logits[correct]
     correct_labels = labels[correct]
-    for index in range(n_indices):
-        column = correct_logits[:, index]
-        is_positive = correct_labels == index
-        positives = column[is_positive]
-        negatives = column[~is_positive]
-        if positives.size:
-            hist = LogitHistogram(low, high, n_bins)
-            hist.update_many(positives)
-            positive_hists[index] = hist
-            positive_samples[index] = positives
-        if negatives.size:
-            hist = LogitHistogram(low, high, n_bins)
-            hist.update_many(negatives)
-            negative_hists[index] = hist
-            negative_samples[index] = negatives
+    is_positive = correct_labels[:, None] == np.arange(n_indices)
+    bins = np.searchsorted(edges, correct_logits, side="right") - 1
+    np.clip(bins, 0, n_bins - 1, out=bins)
+    cells = bins + np.arange(n_indices) * n_bins
+    size = n_indices * n_bins
+    positive_counts, negative_counts = (
+        np.bincount(cells[mask], minlength=size).reshape(n_indices, n_bins)
+        for mask in (is_positive, ~is_positive)
+    )
 
-    priors = prior_counts / max(n, 1)
+    priors = np.bincount(labels, minlength=n_indices).astype(np.float64) / max(n, 1)
     silhouettes = np.zeros(n_indices)
-    empty = np.empty(0)
-    for index in range(n_indices):
-        silhouettes[index] = silhouette_coefficient(
-            positive_samples.get(index, empty),
-            negative_samples.get(index, empty),
-        )
-    order = index_order_by_silhouette(silhouettes)
-
     positive_kdes = negative_kdes = None
     if density == "kde":
-        positive_kdes = {
-            index: GaussianKde(samples)
-            for index, samples in positive_samples.items()
-        }
-        negative_kdes = {
-            index: GaussianKde(samples)
-            for index, samples in negative_samples.items()
-        }
+        positive_kdes, negative_kdes = {}, {}
+    for index in range(n_indices):
+        column = correct_logits[:, index]
+        positives = column[is_positive[:, index]]
+        negatives = column[~is_positive[:, index]]
+        silhouettes[index] = silhouette_coefficient(positives, negatives)
+        if density == "kde":
+            if positives.size:
+                positive_kdes[index] = GaussianKde(positives)
+            if negatives.size:
+                negative_kdes[index] = GaussianKde(negatives)
+    order = index_order_by_silhouette(silhouettes)
     return ThresholdModel(
-        n_indices=n_indices,
-        positive_hists=positive_hists,
-        negative_hists=negative_hists,
+        edges=edges,
+        positive_counts=positive_counts,
+        negative_counts=negative_counts,
         priors=priors,
         silhouettes=silhouettes,
         order=order,

@@ -6,7 +6,10 @@ import pytest
 from repro.hw import HwConfig, MannAccelerator
 from repro.hw.verification import verify_against_golden
 from repro.mann import InferenceEngine
+from repro.mann.weights import MannWeights
 from repro.serving import QueryRequest, open_predictor
+
+WEIGHT_FIELDS = ("w_emb_a", "w_emb_c", "w_emb_q", "w_r", "w_o", "t_a", "t_c")
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,21 @@ class TestVerification:
         )
         report = verify_against_golden(
             accelerator, task1_system["test_batch"], max_examples=15
+        )
+        assert report.bit_exact, report.summary()
+
+    def test_float32_weights_verify_bit_exact(self, task1_system):
+        """MEM stores its rows in the weights' dtype, so a float32 model
+        runs Eqs. 1 and 5 in float32 on the co-sim as in the golden trace."""
+        weights = task1_system["weights"]
+        weights32 = MannWeights(
+            weights.config,
+            *(getattr(weights, name).astype(np.float32) for name in WEIGHT_FIELDS),
+        )
+        config = HwConfig(frequency_mhz=25.0).with_embed_dim(weights.config.embed_dim)
+        accelerator = MannAccelerator(weights32, config)
+        report = verify_against_golden(
+            accelerator, task1_system["test_batch"], max_examples=20
         )
         assert report.bit_exact, report.summary()
 

@@ -1,77 +1,80 @@
-"""Tests for histogram and KDE density estimators."""
+"""Tests for the histogram and KDE density estimators."""
 
 import numpy as np
 import pytest
 
-from repro.mips import GaussianKde, LogitHistogram
+from repro.mips import GaussianKde, fit_threshold_model
 
 
-class TestLogitHistogram:
+class TestHistogramCounts:
+    """Step 1's histograms HG_i / HG_ibar: two count matrices over one
+    shared set of bin edges in a fitted ThresholdModel."""
+
     def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            LogitHistogram(1.0, 1.0)
-        with pytest.raises(ValueError):
-            LogitHistogram(0.0, float("inf"))
+        with pytest.raises(ValueError, match="invalid histogram range"):
+            fit_threshold_model(np.array([[0.0, np.inf]]), np.array([1]))
+        # A constant far from 0: the 1e-9 padding vanishes in rounding.
+        with pytest.raises(ValueError, match="invalid histogram range"):
+            fit_threshold_model(np.full((2, 2), 1e10), np.array([0, 0]))
 
     def test_min_bins(self):
-        with pytest.raises(ValueError):
-            LogitHistogram(0.0, 1.0, n_bins=1)
+        logits = np.array([[2.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="at least 2 bins"):
+            fit_threshold_model(logits, np.array([0, 1]), n_bins=1)
+        tm = fit_threshold_model(logits, np.array([0, 1]), n_bins=2)
+        assert tm.edges.shape == (3,)
 
-    def test_update_and_total(self):
-        h = LogitHistogram(0.0, 10.0, n_bins=10)
-        h.update(2.5)
-        h.update(2.6)
-        h.update(9.9)
-        assert h.total == 3
-        assert h.counts[2] == 2
+    def test_counts_and_totals(self):
+        # Range [0, 10] padded by 1e-9: bin k of 10 holds [k, k + 1).
+        logits = np.array([[10.0, 2.5], [2.6, 0.0], [9.9, 0.0]])
+        labels = np.array([0, 0, 0])
+        tm = fit_threshold_model(logits, labels, n_bins=10, range_padding=0.0)
+        assert tm.positive_counts.shape == tm.negative_counts.shape == (2, 10)
+        assert tm.positive_counts.dtype == np.int64
+        assert tm.positive_counts[0].tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 2]
+        assert tm.negative_counts[1].tolist() == [2, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert not tm.positive_counts[1].any() and not tm.negative_counts[0].any()
 
     def test_out_of_range_clamped_to_edges(self):
-        h = LogitHistogram(0.0, 1.0, n_bins=4)
-        h.update(-5.0)
-        h.update(5.0)
-        assert h.counts[0] == 1
-        assert h.counts[-1] == 1
-        assert h.total == 2
+        # Negative padding shrinks [-1, 10] to [2.3, 6.7]: values outside
+        # it land in the edge bins and no mass is lost.
+        logits = np.array([[0.0, -1.0], [10.0, -1.0], [5.0, -1.0]])
+        labels = np.array([0, 0, 0])
+        tm = fit_threshold_model(logits, labels, n_bins=4, range_padding=-0.3)
+        assert tm.edges[0] > 0.0 and tm.edges[-1] < 10.0
+        assert tm.positive_counts[0].tolist() == [1, 0, 1, 1]
+        assert tm.negative_counts[1].tolist() == [3, 0, 0, 0]
+        # The density lookup clamps the same way.
+        centers = tm.bin_centers()
+        assert tm.posterior(0, -100.0) == tm.posterior(0, float(centers[0]))
+        assert tm.posterior(0, 100.0) == tm.posterior(0, float(centers[-1]))
 
-    def test_pdf_integrates_to_one(self, rng):
-        h = LogitHistogram(-4.0, 4.0, n_bins=32)
-        h.update_many(rng.normal(size=500))
-        width = h.edges[1] - h.edges[0]
-        mass = sum(h.pdf(c) * width for c in h.bin_centers())
-        assert np.isclose(mass, 1.0)
+    def test_centres_look_up_their_own_bins(self, rng):
+        logits = rng.normal(size=(300, 3))
+        tm = fit_threshold_model(logits, logits.argmax(axis=1), n_bins=16)
+        like_pos, like_neg = tm._likelihoods(np.arange(3), tm.bin_centers())
+        width = tm.edges[1] - tm.edges[0]
+        pairs = ((tm.positive_counts, like_pos), (tm.negative_counts, like_neg))
+        for counts, pdf in pairs:
+            expected = counts / (counts.sum(axis=1, keepdims=True) * width)
+            assert np.array_equal(pdf, expected)
 
-    def test_pdf_empty_is_zero(self):
-        assert LogitHistogram(0.0, 1.0).pdf(0.5) == 0.0
+    def test_density_integrates_to_one(self, rng):
+        logits = rng.normal(size=(500, 2))
+        tm = fit_threshold_model(logits, logits.argmax(axis=1), n_bins=32)
+        width = tm.edges[1] - tm.edges[0]
+        for pdf in tm._likelihoods(np.arange(2), tm.bin_centers()):
+            assert np.allclose(pdf.sum(axis=1) * width, 1.0)
 
-    def test_mean_estimate(self, rng):
-        h = LogitHistogram(-6.0, 6.0, n_bins=64)
-        h.update_many(rng.normal(loc=1.5, size=2000))
-        assert abs(h.mean() - 1.5) < 0.15
-
-    def test_mean_empty_is_nan(self):
-        assert np.isnan(LogitHistogram(0.0, 1.0).mean())
-
-    def test_bin_index_monotone(self):
-        h = LogitHistogram(0.0, 1.0, n_bins=10)
-        idx = [h.bin_index(v) for v in np.linspace(0.01, 0.99, 20)]
-        assert idx == sorted(idx)
-
-    def test_from_arrays_restores_verbatim_copies(self, rng):
-        h = LogitHistogram(-3.0, 2.0, n_bins=8)
-        h.update_many(rng.normal(size=100))
-        restored = LogitHistogram.from_arrays(h.edges, h.counts)
-        assert restored.edges.tobytes() == h.edges.tobytes()
-        assert restored.counts.tobytes() == h.counts.tobytes()
-        assert restored.edges is not h.edges and restored.counts is not h.counts
-        assert restored.pdf(0.5) == h.pdf(0.5)
-
-    def test_from_arrays_checks_shapes(self):
-        with pytest.raises(ValueError):
-            LogitHistogram.from_arrays(np.linspace(0, 1, 5), np.zeros(5))
-        with pytest.raises(ValueError):
-            LogitHistogram.from_arrays(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ValueError):
-            LogitHistogram.from_arrays(np.linspace(0, 1, 2), np.zeros(1))
+    def test_empty_density_is_zero(self):
+        # Index 1 is never a label: its positive row is empty.
+        tm = fit_threshold_model(np.array([[5.0, 0.0]]), np.array([0]))
+        assert not tm.positive_counts[1].any()
+        values = np.linspace(-1.0, 6.0, 9)
+        like_pos, _ = tm._likelihoods(np.array([1]), values)
+        assert not like_pos.any()
+        assert tm.posterior(1, 0.0) == 0.0
+        assert tm.thresholds(1.0)[1] == np.inf
 
 
 class TestGaussianKde:

@@ -50,17 +50,15 @@ class TestFitThresholdModel:
         logits = np.array([[5.0, 0.0]])  # predicts 0
         labels = np.array([1])  # true label 1 -> incorrect
         tm = fit_threshold_model(logits, labels)
-        assert not tm.positive_hists
-        assert not tm.negative_hists
+        assert not tm.positive_counts.any()
+        assert not tm.negative_counts.any()
 
     def test_histograms_split_by_label(self):
         logits = np.array([[5.0, 0.0], [0.0, 4.0]])
         labels = np.array([0, 1])
         tm = fit_threshold_model(logits, labels)
-        assert tm.positive_hists[0].total == 1
-        assert tm.positive_hists[1].total == 1
-        assert tm.negative_hists[0].total == 1  # z_0 of example 2
-        assert tm.negative_hists[1].total == 1
+        assert tm.positive_counts.sum(axis=1).tolist() == [1, 1]
+        assert tm.negative_counts.sum(axis=1).tolist() == [1, 1]  # z_0 of example 2, z_1 of 1
 
 
 class TestThresholds:
@@ -86,17 +84,18 @@ class TestThresholds:
 
     def test_posterior_in_unit_interval(self, task1_system):
         tm = task1_system["threshold_model"]
-        for index in list(tm.positive_hists)[:5]:
+        for index in np.flatnonzero(tm.positive_counts.any(axis=1))[:5]:
             for value in np.linspace(-5, 10, 13):
                 p = tm.posterior(index, float(value))
                 assert 0.0 <= p <= 1.0
 
     def test_posterior_high_in_positive_region(self, task1_system):
         tm = task1_system["threshold_model"]
-        index = max(tm.positive_hists, key=lambda i: tm.positive_hists[i].total)
-        hist = tm.positive_hists[index]
-        top_bin = hist.bin_centers()[np.argmax(hist.counts)]
-        high_value = max(float(top_bin), float(hist.bin_centers()[hist.counts.nonzero()[0][-1]]))
+        index = int(tm.positive_counts.sum(axis=1).argmax())
+        counts = tm.positive_counts[index]
+        centers = tm.bin_centers()
+        top_bin = centers[np.argmax(counts)]
+        high_value = max(float(top_bin), float(centers[counts.nonzero()[0][-1]]))
         assert tm.posterior(index, high_value) > 0.5
 
 

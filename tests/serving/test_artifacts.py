@@ -62,6 +62,9 @@ class TestRoundTrip:
             original = system.threshold_model
             assert np.array_equal(restored.order, original.order)
             assert np.array_equal(restored.silhouettes, original.silhouettes)
+            for name in ("edges", "positive_counts", "negative_counts"):
+                stored = getattr(restored, name)
+                assert stored.tobytes() == getattr(original, name).tobytes()
             for rho in (1.0, 0.99, 0.9):
                 assert np.array_equal(
                     restored.thresholds(rho), original.thresholds(rho)
@@ -114,6 +117,28 @@ class TestKdeCodec:
         restored = decode_threshold_model(encode_threshold_model(model))
         assert restored.uses_kde
         assert np.array_equal(restored.thresholds(0.9), model.thresholds(0.9))
+
+
+class TestHistogramCodec:
+    def test_model_without_samples_round_trips(self):
+        # The one example is predicted wrong, so neither sign has a row.
+        model = fit_threshold_model(np.array([[5.0, 0.0]]), np.array([1]))
+        arrays = encode_threshold_model(model)
+        for sign in ("pos", "neg"):
+            assert arrays[f"{sign}_indices"].shape == (0,)
+            assert arrays[f"{sign}_edges"].shape == (0, 2)
+            assert arrays[f"{sign}_counts"].shape == (0, 1)
+        restored = decode_threshold_model(arrays)
+        assert restored.n_indices == 2
+        assert not restored.positive_counts.any() and not restored.negative_counts.any()
+        assert np.array_equal(restored.thresholds(1.0), [np.inf, np.inf])
+
+    def test_decode_rejects_differing_edge_rows(self, tiny_suite):
+        arrays = encode_threshold_model(tiny_suite.tasks[1].threshold_model)
+        arrays["neg_edges"] = arrays["neg_edges"].copy()
+        arrays["neg_edges"][-1, 0] -= 1.0
+        with pytest.raises(ValueError, match="one set of bin edges"):
+            decode_threshold_model(arrays)
 
 
 class TestFormatVersion:
