@@ -24,8 +24,9 @@ directory written by ``train --save`` instead of retraining.
 ``serve-bench`` drives the multi-task serving runtime: one
 ``ModelRouter`` holding a predictor per task behind a single scheduler
 whose flushes run inline, same-shaped routes answered with one engine
-call. It reports one-at-a-time vs scheduler throughput (plus an
-``AsyncFrontend`` pass with ``--async``) and per-route traffic.
+call. It reports one-at-a-time vs scheduler throughput and per-route
+traffic. The asyncio front end, with deadlines and admission control,
+is shown by ``examples/async_serving.py``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ _EPILOG = (
     "mixed-task request stream through one router and scheduler. "
     "`--cache-entries N --zipf S` adds a per-route "
     "story-encoding cache and a zipf-skewed replay mix to measure "
-    "hit-rate vs throughput."
+    "hit-rate vs throughput. The asyncio front end (deadlines, "
+    "admission control) is shown by examples/async_serving.py."
 )
 
 
@@ -260,36 +262,8 @@ def _cmd_query(args: argparse.Namespace) -> None:
                 batch.questions[i],
                 n_sentences=int(batch.story_lengths[i]),
                 request_id=i,
-                deadline_s=args.deadline_ms / 1e3 if args.deadline_ms else None,
             )
         )
-
-    scheduler = None
-    if args.deadline_ms:
-        # Deadline-stamped queries ride the async SLO front end: same
-        # predictor, plus micro-batching and per-request deadline
-        # attainment (printed after the table).
-        import asyncio
-
-        from repro.serving import AsyncFrontend, BatchScheduler
-
-        scheduler = BatchScheduler(
-            predictor, max_batch=max(1, len(requests)), max_wait_s=0.002
-        )
-
-        def serve(wave):
-            async def run():
-                async with AsyncFrontend(
-                    scheduler, close_backend=False
-                ) as frontend:
-                    return await frontend.query_many(wave)
-
-            return asyncio.run(run())
-
-    else:
-
-        def serve(wave):
-            return [predictor.predict(r) for r in wave]
 
     # The predictor (and its story cache, with --cache-entries) is
     # built once and reused across repeats — repeats 2..N replay the
@@ -297,7 +271,7 @@ def _cmd_query(args: argparse.Namespace) -> None:
     # cache hit.
     for repeat in range(args.repeat):
         start = time.perf_counter()
-        responses = serve(requests)
+        responses = [predictor.predict(request) for request in requests]
         seconds = time.perf_counter() - start
         if repeat == 0:  # the table shows each example once
             for i, response in zip(indices, responses):
@@ -317,14 +291,6 @@ def _cmd_query(args: argparse.Namespace) -> None:
             print(f"{correct}/{len(indices)} correct")
         if args.repeat > 1:
             print(f"repeat {repeat + 1}/{args.repeat}: {seconds * 1e3:.2f} ms")
-    if scheduler is not None:
-        scheduler.close()
-        stats = scheduler.stats
-        print(
-            f"deadline {args.deadline_ms:.1f} ms: {stats.deadline_met} met / "
-            f"{stats.deadline_missed} missed "
-            f"(goodput {stats.goodput_rate:.1%})"
-        )
     cache = getattr(predictor, "cache", None)
     if cache is not None:
         stats = cache.stats
@@ -396,78 +362,11 @@ def _zipf_requests(suite: BabiSuite, n: int, s: float, seed: int = 0) -> list:
     return requests
 
 
-def _timed_async_run(args: argparse.Namespace, suite, requests):
-    """One `serve-bench --async` pass: AsyncFrontend over the same
-    router configuration, open-loop paced when --qps is given, with
-    per-request deadlines and admission control. Returns
-    ``(seconds, router, n_served)`` — shed/expired requests resolve as
-    typed exceptions and are excluded from the served count (their
-    tallies land in ``router.stats``)."""
-    import asyncio
-
-    from repro.serving import (
-        AsyncFrontend,
-        DeadlineExceededError,
-        ModelRouter,
-        OverloadError,
-    )
-
-    router = ModelRouter.open(
-        suite,
-        tasks=list(suite.tasks),
-        mips_backend=args.mips_backend,
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
-        cache_entries=args.cache_entries or None,
-        queue_cap=args.queue_cap,
-        overload_policy=args.overload_policy,
-        inline_flush=False,
-    )
-    deadline_s = args.deadline_ms / 1e3 if args.deadline_ms else None
-
-    async def drive():
-        async with AsyncFrontend(router) as frontend:
-            if args.qps:
-                # Open loop: arrivals follow the offered rate, not the
-                # service rate — the regime where shedding matters.
-                loop = asyncio.get_running_loop()
-                epoch = loop.time()
-                waves = []
-                for i, request in enumerate(requests):
-                    delay = epoch + i / args.qps - loop.time()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                    waves.append(
-                        asyncio.ensure_future(
-                            frontend.query(request, deadline_s=deadline_s)
-                        )
-                    )
-                return await asyncio.gather(*waves, return_exceptions=True)
-            return await frontend.query_many(
-                requests, deadline_s=deadline_s, return_exceptions=True
-            )
-
-    start = time.perf_counter()
-    results = asyncio.run(drive())
-    seconds = time.perf_counter() - start
-    n_served = sum(not isinstance(r, BaseException) for r in results)
-    stranded = [
-        r
-        for r in results
-        if isinstance(r, BaseException)
-        and not isinstance(r, (OverloadError, DeadlineExceededError))
-    ]
-    if stranded:  # typed errors are expected; anything else is a bug
-        raise stranded[0]
-    return seconds, router, n_served
-
-
 def _cmd_serve_bench(args: argparse.Namespace) -> None:
     """Multi-task serving throughput: router + scheduler.
 
-    Submission modes over the same mixed-task request stream:
-    one-at-a-time ``predict`` calls, the batching scheduler, and with
-    ``--async`` the asyncio frontend.
+    Two submission modes over the same mixed-task request stream:
+    one-at-a-time ``predict`` calls and the batching scheduler.
     """
     from repro.serving import ModelRouter
 
@@ -507,9 +406,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             "p50 (ms)",
             "p95 (ms)",
             "p99 (ms)",
-            "shed",
-            "expired",
-            "goodput",
         ],
         title=(
             f"Serving throughput — {len(suite.task_ids)} task routes, "
@@ -529,55 +425,20 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             "-",
             "-",
             "-",
-            "-",
-            "-",
-            "-",
         ]
     )
-
-    def _scheduler_row(label: str, seconds: float, router, served=None) -> None:
-        stats = router.stats
-        served = args.requests if served is None else served
-        goodput = (
-            f"{stats.goodput_rate:.1%}" if stats.deadline_outcomes else "-"
-        )
-        table.add_row(
-            [
-                label,
-                f"{served / seconds:.0f}",
-                f"{stats.mean_batch_size:.1f}",
-                f"{stats.p50_latency_s * 1e3:.2f}",
-                f"{stats.p95_latency_s * 1e3:.2f}",
-                f"{stats.p99_latency_s * 1e3:.2f}",
-                str(stats.shed),
-                str(stats.expired),
-                goodput,
-            ]
-        )
-
-    _scheduler_row(f"scheduler (max_batch={args.max_batch})", seconds, router)
-    if args.async_frontend:
-        async_seconds, async_router, n_served = _timed_async_run(args, suite, requests)
-        policy = args.overload_policy
-        _scheduler_row(
-            f"async frontend (cap={args.queue_cap or '∞'}, {policy})",
-            async_seconds,
-            async_router,
-            served=max(1, n_served),
-        )
+    stats = router.stats
+    table.add_row(
+        [
+            f"scheduler (max_batch={args.max_batch})",
+            f"{args.requests / seconds:.0f}",
+            f"{stats.mean_batch_size:.1f}",
+            f"{stats.p50_latency_s * 1e3:.2f}",
+            f"{stats.p95_latency_s * 1e3:.2f}",
+            f"{stats.p99_latency_s * 1e3:.2f}",
+        ]
+    )
     print(table.render())
-    if args.async_frontend:
-        stats = async_router.stats
-        print(
-            f"async frontend: {n_served}/{args.requests} served, "
-            f"{stats.shed} shed, {stats.expired} expired"
-            + (
-                f", goodput {stats.goodput_rate:.1%} "
-                f"(deadline {args.deadline_ms:.1f} ms)"
-                if args.deadline_ms
-                else ""
-            )
-        )
     print(f"micro-batching speedup: {one_at_a_time / seconds:.1f}x")
     if args.cache_entries:
         caches = [router.predictor(task).cache.stats for task in router.tasks]
@@ -765,15 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the cross-request story-encoding cache with this "
         "many LRU entries (0 disables; sw device only)",
     )
-    query.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-query SLO budget in milliseconds: queries are served "
-        "through the async front end (AsyncFrontend) and deadline "
-        "attainment is reported after the table",
-    )
     query.set_defaults(handler=_cmd_query)
 
     bench = subparsers.add_parser(
@@ -803,46 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         "popularity (same story, different question) instead of "
         "round-robin — the shape that exercises --cache-entries; "
         "S=0 is uniform",
-    )
-    bench.add_argument(
-        "--async",
-        dest="async_frontend",
-        action="store_true",
-        help="add an AsyncFrontend pass: awaitable queries over the "
-        "same router, with --deadline-ms SLO budgets and "
-        "--queue-cap/--overload-policy admission control",
-    )
-    bench.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-request SLO budget for the --async pass (deadline "
-        "attainment / goodput is reported in the summary)",
-    )
-    bench.add_argument(
-        "--queue-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound the async pass's pending queue at N requests "
-        "(default: unbounded)",
-    )
-    bench.add_argument(
-        "--overload-policy",
-        choices=("shed", "shed-expired"),
-        default="shed",
-        help="what a full --queue-cap queue does: 'shed' rejects with "
-        "OverloadError, 'shed-expired' first drops past-deadline queue "
-        "entries (DeadlineExceededError) and sheds only if none has "
-        "expired",
-    )
-    bench.add_argument(
-        "--qps",
-        type=float,
-        default=None,
-        help="pace the --async pass open-loop at this offered request "
-        "rate instead of submitting everything at once",
     )
     bench.set_defaults(handler=_cmd_serve_bench)
 

@@ -60,22 +60,15 @@ class AsyncFrontend:
     ``backend`` must expose ``submit_nowait(request) -> Future``,
     ``close()`` and ``stats`` — :class:`BatchScheduler` and
     :class:`ModelRouter` both do. ``default_deadline_s`` stamps a
-    deadline on every request that does not carry its own;
-    ``close_backend=False`` leaves shutdown to whoever built the backend.
+    deadline on every request that does not carry its own. Closing the
+    frontend closes the backend.
     """
 
-    def __init__(
-        self,
-        backend: Any,
-        *,
-        default_deadline_s: float | None = None,
-        close_backend: bool = True,
-    ):
+    def __init__(self, backend: Any, *, default_deadline_s: float | None = None):
         if default_deadline_s is not None and not default_deadline_s > 0:
             raise ValueError("default_deadline_s must be positive (or None)")
         self.backend = backend
         self.default_deadline_s = default_deadline_s
-        self._close_backend = close_backend
         self._closed = False
 
     # -- deadline plumbing --------------------------------------------
@@ -131,17 +124,17 @@ class AsyncFrontend:
         return self.backend.stats
 
     async def aclose(self) -> None:
-        """Close the frontend (and backend, unless ``close_backend=False``).
+        """Close the frontend and its backend.
 
-        ``backend.close()`` blocks on in-flight flushes, so it runs in
-        the default executor — the event loop stays responsive while
-        the last batch drains. Idempotent."""
+        ``backend.close()`` drains the queue and waits for every flush
+        in flight, whichever thread runs it, so it runs in the default
+        executor — the event loop stays responsive while the last
+        batches drain. Idempotent."""
         if self._closed:
             return
         self._closed = True
-        if self._close_backend:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self.backend.close)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self.backend.close)
 
     async def __aenter__(self) -> "AsyncFrontend":
         return self

@@ -41,19 +41,23 @@ attainment counts land in ``stats`` (``goodput_rate``).
 
 **Execution and ordering.** A flush is one ``predict_batch`` call, run
 inline by the thread that flushes: the submitter that filled the batch,
-the deadline thread, or a caller of ``flush()``/``close()``. Dequeue
-from the pending queue is strictly FIFO (every flush takes a contiguous
-run of requests in submission order), and flushes also *complete* in
-dequeue order: a ticket assigned at dequeue time serialises execution,
-so two racing flushers cannot complete newer requests before older
-ones. Responses within a flush resolve in submission order, in the
-same pass that measures their latencies; the flush's statistics land
-together once its futures are resolved.
+the deadline thread, or a caller of ``flush()``/``close()``. Every
+flusher dequeues through one helper, under one flush lock held from the
+dequeue of a batch until its last future resolves. So flushes run one
+at a time, dequeue from the pending queue is strictly FIFO (every flush
+takes a contiguous run of requests in submission order), and flushes
+also *complete* in dequeue order. Once it holds the flush lock, a
+flusher checks again that the queue's head still has to flush, since
+the flush it waited for may have taken it. Lock order: the flush lock
+first, then the queue lock, never the reverse. Responses within a flush
+resolve in submission order, in the same pass that measures their
+latencies; the flush's statistics land together once its futures are
+resolved.
 
 **Callbacks.** No future resolves under the queue lock, and a thread
-resolving futures never flushes inline: that flush would wait for the
-one running the callbacks. So a done-callback may ``submit()``; a batch
-it fills goes to the deadline thread, or in manual mode to the next
+resolving futures never flushes inline: it holds the flush lock that
+flush would wait for. So a done-callback may ``submit()``; a batch it
+fills goes to the deadline thread, or in manual mode to the next
 ``flush()``, ``close()`` or batch-filling submit. ``flush()`` and
 ``close()`` from a done-callback raise ``RuntimeError``.
 
@@ -281,21 +285,16 @@ class BatchScheduler:
         self.clock = clock
         self.stats = ServingStats()
         self._pending: list[_Pending] = []
-        # _lock guards the queue and its flags; _cond, over the same
-        # lock, wakes the deadline thread.
+        # Lock order: _flush_lock, then _lock, never the reverse.
+        # _flush_lock is held from the dequeue of a batch until its last
+        # future resolves. _lock guards the queue and its flags; _cond,
+        # over the same lock, wakes the deadline thread.
+        self._flush_lock = threading.Lock()
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._stats_lock = threading.Lock()
         self._closed = False
         self._resolving = _Resolving()
-        # FIFO tickets: assigned at dequeue time (under _lock, where
-        # submission order is defined), retired when the flush is done.
-        # Flushes execute in ticket order, which pins completion order
-        # = dequeue order = submission order.
-        self._ticket_cond = threading.Condition()
-        self._next_ticket = 0
-        self._now_serving = 0
-        self._retired: set[int] = set()
         self._worker: threading.Thread | None = None
         if start_worker:
             self._worker = threading.Thread(
@@ -312,8 +311,8 @@ class BatchScheduler:
         "shed-expired" only when no queued entry has expired.
         """
         future = _LazyFuture()
-        batch = expired = ()
-        ticket = None
+        expired = ()
+        full = False
         with self._lock:
             if self._closed:
                 raise SchedulerClosedError("scheduler is closed")
@@ -339,9 +338,8 @@ class BatchScheduler:
                 )
             )
             if len(self._pending) >= self.max_batch:
-                if self.inline_flush and not self._resolving.active:
-                    batch, ticket = self._take_locked(self.max_batch)
-                else:
+                full = self.inline_flush and not self._resolving.active
+                if not full:
                     self._cond.notify_all()  # the deadline thread flushes
             elif len(self._pending) == 1 or request.deadline_s is not None:
                 # Wake the deadline thread to (re)arm its timer: on a
@@ -349,8 +347,11 @@ class BatchScheduler:
                 # may be the new binding constraint. Notifying on every
                 # submit would GIL-thrash against busy submitters.
                 self._cond.notify_all()
-        if batch or expired:  # the submitting caller pays
-            self._execute(batch, ticket, expired)
+        # The submitting caller pays.
+        if expired:
+            self._execute([], expired)
+        if full:
+            self._flush_head(lambda: len(self._pending) >= self.max_batch)
         return future
 
     submit_nowait = submit
@@ -394,22 +395,18 @@ class BatchScheduler:
             )
 
     def flush(self) -> None:
-        """Drain every queued request now, in the calling thread.
-        Raises ``RuntimeError`` from a done-callback of this
-        scheduler's futures."""
+        """Drain every queued request now, in the calling thread, after
+        any flush in flight. Raises ``RuntimeError`` from a
+        done-callback of this scheduler's futures."""
         self._refuse_in_callback("flush")
-        while True:
-            with self._lock:
-                batch, ticket = self._take_locked(self.max_batch)
-            if not batch:
-                return
-            self._execute(batch, ticket)
+        while self._flush_head():
+            pass
 
     def close(self) -> None:
         """Flush outstanding requests and stop the deadline thread.
-        Idempotent. A max-batch flush from a racing ``submit()`` may
-        still be in flight when this returns; it resolves its own
-        futures. Raises ``RuntimeError`` from a done-callback of this
+        Idempotent. Returns only once every flush in flight, a racing
+        ``submit()``'s max-batch flush too, has resolved its futures.
+        Raises ``RuntimeError`` from a done-callback of this
         scheduler's futures."""
         self._refuse_in_callback("close")
         with self._lock:
@@ -432,37 +429,23 @@ class BatchScheduler:
             return len(self._pending)
 
     # -- flush machinery -----------------------------------------------
-    def _take_locked(self, limit: int) -> tuple[list[_Pending], int | None]:
-        """FIFO-dequeue up to ``limit`` requests (caller holds _lock).
+    def _flush_head(self, due=None) -> bool:
+        """Flush the head of the queue; return whether there was one.
 
-        This is the *only* place requests leave the queue, and it takes
-        a contiguous head slice — the FIFO-dequeue guarantee. A ticket
-        is assigned per non-empty take; execution honours ticket order
-        (see :meth:`_await_turn`)."""
-        batch = self._pending[: limit]
-        if not batch:
-            return [], None
-        del self._pending[: len(batch)]
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        return batch, ticket
-
-    def _await_turn(self, ticket: int) -> None:
-        """Block until every earlier ticket has retired — the
-        FIFO-completion fence."""
-        with self._ticket_cond:
-            while self._now_serving < ticket:
-                self._ticket_cond.wait()
-
-    def _retire_ticket(self, ticket: int | None) -> None:
-        if ticket is None:
-            return
-        with self._ticket_cond:
-            self._retired.add(ticket)
-            while self._now_serving in self._retired:
-                self._retired.remove(self._now_serving)
-                self._now_serving += 1
-            self._ticket_cond.notify_all()
+        This is the *only* place a batch leaves the queue. Under the
+        flush lock, it takes a contiguous head slice of up to
+        ``max_batch`` requests (the FIFO-dequeue guarantee), unless the
+        queue is empty or ``due()`` no longer holds under ``_lock``.
+        It holds the flush lock until the batch's last future resolves,
+        so flushes complete in dequeue order."""
+        with self._flush_lock:
+            with self._lock:
+                if not self._pending or (due is not None and not due()):
+                    return False
+                batch = self._pending[: self.max_batch]
+                del self._pending[: len(batch)]
+            self._execute(batch)
+        return True
 
     def _worker_loop(self) -> None:
         """Flush queues whose oldest request aged past max_wait_s — or
@@ -474,20 +457,18 @@ class BatchScheduler:
                     self._cond.wait()
                 if self._closed:
                     return  # close() drains what is left
-                now = self.clock.now()
-                due = self._due_at_locked()
-                while (
-                    self._pending
-                    and not self._closed
-                    and len(self._pending) < self.max_batch
-                    and now < due
-                ):
-                    self._cond.wait(timeout=due - now)
-                    now = self.clock.now()
-                    if self._pending:
-                        due = self._due_at_locked()
-                batch, ticket = self._take_locked(self.max_batch)
-            self._execute(batch, ticket)
+                while self._pending and (wait_s := self._wait_s_locked()) > 0:
+                    self._cond.wait(timeout=wait_s)
+            self._flush_head(lambda: self._wait_s_locked() <= 0)
+
+    def _wait_s_locked(self) -> float:
+        """Seconds the deadline thread may still wait (caller holds
+        ``_lock``, queue not empty): 0 once the queue is full or
+        closed, else the time left until :meth:`_due_at_locked`, at
+        most 0 once that has passed."""
+        if len(self._pending) >= self.max_batch or self._closed:
+            return 0.0
+        return self._due_at_locked() - self.clock.now()
 
     def _due_at_locked(self) -> float:
         """The instant the queue must flush (caller holds ``_lock``):
@@ -515,10 +496,12 @@ class BatchScheduler:
             p95 = self.stats.p95_service_s
         return p95 * _SAFETY_FACTOR + _DEADLINE_MARGIN_S
 
-    def _execute(self, batch: list[_Pending], ticket: int | None, expired=()) -> None:
+    def _execute(self, batch: list[_Pending], expired=()) -> None:
         """Resolve ``expired`` (entries evicted at admission), then run
         ``batch``. The thread counts as resolving throughout, so that
-        no done-callback flushes inline behind this flush's ticket."""
+        no done-callback flushes inline: a batch runs under the flush
+        lock, which that flush would wait for forever. The flush's
+        service time starts here, after any wait for that lock."""
         resolving = self._resolving
         outer, resolving.active = resolving.active, True
         try:
@@ -540,13 +523,9 @@ class BatchScheduler:
                     running.append(pending)
                     requests.append(pending.request)
             if running:
-                started = self.clock.now()
-                # Ticket order makes completion FIFO across racing flushers.
-                self._await_turn(ticket)
-                self._run_batch(running, requests, started)
+                self._run_batch(running, requests, self.clock.now())
         finally:
             resolving.active = outer
-            self._retire_ticket(ticket)
 
     def _run_batch(
         self, batch: list[_Pending], requests: list[QueryRequest], started: float

@@ -679,15 +679,39 @@ class OrderRecordingStub:
         ]
 
 
+class GatedStub(StubPredictor):
+    """Holds every flush inside ``predict_batch`` until ``gate`` opens;
+    ``entered`` is set once a flush is inside."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def predict_batch(self, requests):
+        self.entered.set()
+        if not self.gate.wait(timeout=10.0):
+            raise TimeoutError("gate never opened")
+        return super().predict_batch(requests)
+
+
+def _until(predicate, seconds: float = 5.0) -> None:
+    """Poll ``predicate`` until it holds; fail after ``seconds``."""
+    give_up = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < give_up, "condition never held"
+        time.sleep(0.001)
+
+
 class TestFifoOrdering:
-    """Regression for the flush()/deadline-thread/max-batch race.
+    """The flush()/deadline-thread/max-batch races.
 
     The documented guarantee: dequeue is strictly FIFO (every flush is
     a contiguous head slice of the pending queue), and flushes also
-    *complete* in dequeue order.
-    Before the dequeue-time ticketing fix, two concurrent ``_execute``
-    calls could acquire the execution lock out of order and complete
-    newer requests before older ones.
+    *complete* in dequeue order. One flush lock, held from the dequeue
+    of a batch until its last future resolves, runs flushes one at a
+    time; a flusher that waited for it checks again that the head
+    still has to flush.
     """
 
     N = 200
@@ -720,9 +744,109 @@ class TestFifoOrdering:
         )
         batches = self._hammer(scheduler, stub)
         completed = [i for batch in batches for i in batch]
-        # Ticket order pins completion order to submission order even
+        # The flush lock pins completion order to submission order even
         # with 6 racing flushers.
         assert completed == list(range(self.N))
+
+    def test_racing_submits_do_not_change_batch_sizes(self):
+        """While flush A is in flight, r3 fills a batch and r4 arrives
+        behind it: both submits then wait to flush. Whichever flushes
+        first takes r2 and r3; the other finds less than a batch queued
+        and takes nothing, so r4 waits for a batch of its own."""
+        stub = GatedStub()
+        scheduler = BatchScheduler(stub, max_batch=2, start_worker=False)
+        futures: dict[int, object] = {}
+
+        def submit(*ids):
+            for i in ids:
+                futures[i] = scheduler.submit(_request(i))
+
+        def run():
+            threads = [threading.Thread(target=submit, args=(0, 1), daemon=True)]
+            threads[0].start()  # r1 fills the first batch: flush A
+            assert stub.entered.wait(timeout=5.0)
+            threads.append(threading.Thread(target=submit, args=(2, 3), daemon=True))
+            threads[1].start()
+            # r3 is queued once the count leaves 1: it reads 2 while r2
+            # and r3 wait behind flush A, 0 had they left the queue at once.
+            _until(lambda: 2 in futures and scheduler.pending != 1)
+            queued = scheduler.pending
+            threads.append(threading.Thread(target=submit, args=(4,), daemon=True))
+            threads[2].start()
+            _until(lambda: scheduler.pending == queued + 1)
+            stub.gate.set()
+            for thread in threads:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+            assert stub.flush_sizes == [2, 2]
+            assert scheduler.pending == 1 and not futures[4].done()
+            scheduler.close()
+            assert [futures[i].result(timeout=0).label for i in range(5)] == list(range(5))
+            assert stub.flush_sizes == [2, 2, 1]
+
+        try:
+            _within(10.0, run)
+        finally:
+            stub.gate.set()
+
+    @pytest.mark.parametrize("start_worker", [True, False], ids=["worker", "manual"])
+    def test_close_waits_for_a_flush_in_flight(self, start_worker):
+        """close() from another thread returns only after the
+        batch-filling submit's flush has resolved its futures."""
+        stub = GatedStub()
+        scheduler = BatchScheduler(
+            stub, max_batch=2, max_wait_s=30.0, start_worker=start_worker
+        )
+        served_at_close: list = []
+
+        def close():
+            scheduler.close()
+            served_at_close.append(scheduler.stats.requests)
+
+        submitter = threading.Thread(
+            target=lambda: [scheduler.submit(_request(i)) for i in range(2)],
+            daemon=True,
+        )
+        closer = threading.Thread(target=close, daemon=True)
+        try:
+            submitter.start()
+            assert stub.entered.wait(timeout=5.0)
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive(), "close() returned with a flush in flight"
+        finally:
+            stub.gate.set()
+        for thread in (submitter, closer):
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert served_at_close == [2]
+
+    def test_a_flush_records_only_its_own_time(self):
+        """Flush B waits behind flush A while the clock moves 1 s. A's
+        service time counts that second, B's does not: the wait is
+        queueing, which B's latency already counts."""
+        clock = ManualClock()
+        stub = GatedStub()
+        scheduler = BatchScheduler(
+            stub, max_batch=1, start_worker=False, clock=clock
+        )
+        flushes = [
+            threading.Thread(target=scheduler.submit, args=(_request(i),), daemon=True)
+            for i in range(2)
+        ]
+        try:
+            flushes[0].start()
+            assert stub.entered.wait(timeout=5.0)
+            flushes[1].start()
+            flushes[1].join(timeout=0.1)
+            assert flushes[1].is_alive(), "flush B did not wait behind flush A"
+            clock.advance(1.0)
+        finally:
+            stub.gate.set()
+        for thread in flushes:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert scheduler.stats._service.sample == [1.0, 0.0]  # A, then B
 
 
 class TestAdmissionControl:
@@ -834,7 +958,7 @@ def _within(seconds: float, target) -> None:
 
 class TestCallbackReentry:
     """Done-callbacks that call back into the scheduler. They run in
-    the thread resolving a flush, which holds that flush's ticket."""
+    the thread resolving a flush, which holds the flush lock."""
 
     def _serve_with_callbacks(self, scheduler, requests, callback) -> list:
         """Submit ``requests`` with ``callback`` on each future, and have

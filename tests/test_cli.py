@@ -237,52 +237,3 @@ class TestArtifactsFlag:
     def test_missing_task_in_artifacts_exits(self, cli_artifacts):
         with pytest.raises(SystemExit):
             main(["table1", "--artifacts", cli_artifacts, "--tasks", "2"])
-
-
-class TestAsyncServing:
-    """serve-bench --async and query --deadline-ms (PR 8 front end)."""
-
-    def test_query_with_deadline_reports_attainment(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "query", "--artifacts", cli_artifacts, "--task", "1",
-                "--deadline-ms", "5000", "--indices", "0", "1", "2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "correct" in out
-        assert "deadline 5000.0 ms" in out
-        assert "3 met / 0 missed" in out
-        assert "goodput 100.0%" in out
-
-    def test_serve_bench_async_pass(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "32", "--max-batch", "8",
-                "--async", "--deadline-ms", "10000",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "async frontend" in out
-        assert "goodput" in out  # table column + summary line
-        assert "32/32 served, 0 shed, 0 expired" in out
-        assert "goodput 100.0%" in out
-
-    def test_serve_bench_async_shed_policy_and_qps(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "24", "--max-batch", "8",
-                "--async", "--queue-cap", "16", "--overload-policy", "shed",
-                "--qps", "2000",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cap=16, shed" in out
-        assert "served" in out
-        # Every line of the shed/expired/goodput columns is rendered.
-        assert "shed" in out and "expired" in out
