@@ -4,17 +4,17 @@ The deployment-shaped entry points of the repro:
 
 * :func:`save_suite` / :func:`load_suite` — round-trip a trained
   :class:`~repro.eval.suite.BabiSuite` (weights, vocabulary, fitted
-  threshold models, encoded batches, training summary) through an
-  ``.npz`` + JSON directory, bit-exactly.
+  threshold models, encoded batches, training summary) through a
+  directory of one raw array file plus JSON per task, bit-exactly.
 * :func:`verify_artifacts` — reload a directory and prove predictions
   and logits match the arrays recorded at save time.
 
 Built artifacts feed :func:`repro.serving.open_predictor`,
 :class:`repro.serving.ModelRouter` and every CLI experiment subcommand
 via ``--artifacts DIR``. Manifests carry a ``format_version``
-(validated by :func:`check_format_version`); version 2 adds optional
-per-task fixed-point weight snapshots
-(``save_suite(..., qformat=QFormat(3, 8))``) so quantized models serve
+(validated by :func:`check_format_version`); this build writes and
+reads version 3 only. Optional per-task fixed-point weight snapshots
+(``save_suite(..., qformat=QFormat(3, 8))``) let quantized models serve
 straight from the artifact directory.
 """
 

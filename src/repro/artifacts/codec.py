@@ -17,10 +17,15 @@ The artifact manifest (``suite.json``) carries ``format_version`` so a
 reader can tell a directory written by a newer build from a corrupt
 one. Version history:
 
-* **1** — PR 3: weights, vocab, threshold models, encoded batches.
-* **2** — PR 4: optional per-task quantized weights (``quantized.npz``
-  + a ``quantization`` block in ``meta.json``). Version-1 directories
-  simply lack the optional files and still load.
+* **1** — weights, vocab, threshold models, encoded batches (``.npz``
+  files per task).
+* **2** — optional per-task quantized weights (``quantized.npz`` + a
+  ``quantization`` block in ``meta.json``).
+* **3** — one ``arrays.bin`` per task holds every array of the task,
+  these codecs' dicts included, as raw bytes at aligned offsets, and
+  ``meta.json`` a table of their dtypes, shapes and offsets; no
+  ``.npz`` files. Versions 1 and 2 are no longer read: re-save such a
+  directory with ``repro train --save DIR``.
 """
 
 from __future__ import annotations
@@ -32,34 +37,41 @@ from repro.mips.histograms import GaussianKde
 from repro.mips.thresholding import ThresholdModel
 
 #: Version written into every new manifest.
-FORMAT_VERSION = 2
-#: Versions this build can read (additive format changes only).
-SUPPORTED_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+#: Versions this build reads.
+SUPPORTED_VERSIONS = (3,)
 
 
 def check_format_version(version) -> int:
     """Validate a manifest's ``format_version``; returns it as an int.
 
-    Unknown *future* versions get a clear upgrade message instead of an
-    arbitrary KeyError deep inside the loader.
+    Unknown *future* versions get a clear upgrade message, and versions
+    this build no longer reads a re-save hint, instead of an arbitrary
+    KeyError deep inside the loader.
     """
-    if not isinstance(version, int):
+    # JSON ``true`` parses to a bool, which is an int equal to 1.
+    if not isinstance(version, int) or isinstance(version, bool):
         raise ValueError(
             f"artifact manifest has no integer format_version (got "
             f"{version!r}); the directory is not a suite artifact"
         )
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"artifact format version {version} not supported: this build "
-            f"reads versions {SUPPORTED_VERSIONS}"
-            + (
-                " — the artifacts were written by a newer build; "
-                "upgrade this checkout or re-save the suite"
-                if version > FORMAT_VERSION
-                else ""
-            )
+    if version in SUPPORTED_VERSIONS:
+        return version
+    hint = ""
+    if version > FORMAT_VERSION:
+        hint = (
+            " — the artifacts were written by a newer build; "
+            "upgrade this checkout or re-save the suite"
         )
-    return version
+    elif version > 0:
+        hint = (
+            " — this build no longer reads it; re-save the suite with "
+            "`repro train --save DIR`"
+        )
+    raise ValueError(
+        f"artifact format version {version} not supported: this build "
+        f"reads versions {SUPPORTED_VERSIONS}{hint}"
+    )
 
 
 def _encode_counts(
@@ -107,7 +119,7 @@ def _decode_kdes(data, prefix: str) -> dict[int, GaussianKde]:
 
 
 def encode_threshold_model(model: ThresholdModel) -> dict[str, np.ndarray]:
-    """Flatten a fitted model into plain arrays for ``np.savez``."""
+    """Flatten a fitted model into plain arrays (one artifact group)."""
     arrays: dict[str, np.ndarray] = {
         "n_indices": np.array(model.n_indices, dtype=np.int64),
         "priors": model.priors,
@@ -135,7 +147,7 @@ def encode_quantized_weights(quantized: QuantizedWeights) -> dict[str, np.ndarra
 
 
 def decode_quantized_weights(data, config) -> QuantizedWeights:
-    """Inverse of :func:`encode_quantized_weights` (npz file or dict).
+    """Inverse of :func:`encode_quantized_weights`.
 
     ``config`` is the task's :class:`~repro.mann.config.MannConfig`;
     the rebuilt float weights land exactly on the stored grid.
@@ -150,7 +162,7 @@ def decode_quantized_weights(data, config) -> QuantizedWeights:
 
 
 def decode_threshold_model(data) -> ThresholdModel:
-    """Inverse of :func:`encode_threshold_model` (npz file or dict)."""
+    """Inverse of :func:`encode_threshold_model`."""
     n_indices = int(data["n_indices"])
     indices = {sign: data[f"{sign}_indices"] for sign in ("pos", "neg")}
     edge_rows = [data[f"{sign}_edges"] for sign in indices if len(indices[sign])]

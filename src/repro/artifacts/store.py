@@ -10,18 +10,25 @@ a single training step. Layout::
     directory/
       suite.json            # format version, SuiteConfig, vocab words
       task_01/
-        arrays.npz          # weights, encoded batches, train logits,
-                            # reference test predictions
-        threshold.npz       # fitted ThresholdModel (see codec.py)
-        quantized.npz       # optional Qm.n integer codes (format v2)
-        meta.json           # MannConfig + TrainResult summary
+        arrays.bin          # every array of the task as raw bytes, each
+                            # at a 64-byte-aligned offset: weights,
+                            # encoded batches, train logits, reference
+                            # test predictions, the fitted ThresholdModel
+                            # (see codec.py), optional Qm.n integer codes
+        meta.json           # MannConfig + TrainResult summary, and the
+                            # table of arrays.bin: each array's dtype,
+                            # shape and offset, in groups "model",
+                            # "threshold" and (optional) "quantized"
       task_02/ ...
 
-Everything numeric round-trips bit-exactly (``np.savez`` preserves
-dtype and bits; JSON floats use ``repr`` round-tripping), which
-:func:`verify_artifacts` checks by recomputing predictions and logits
-from the restored weights. The serving layer
-(:func:`repro.serving.open_predictor`,
+A task's arrays are written in one pass and read in one pass, each into
+a buffer of its own. The reader trusts nothing in the table: it accepts
+only bool, integer and float dtypes, every array must lie inside the
+file, and every read must fill its array. Everything numeric
+round-trips bit-exactly (raw bytes under their dtype; JSON floats use
+``repr`` round-tripping), which :func:`verify_artifacts` checks by
+recomputing predictions and logits from the restored weights. The
+serving layer (:func:`repro.serving.open_predictor`,
 :class:`repro.serving.ModelRouter`) accepts these directories directly;
 ``save_suite(..., qformat=QFormat(3, 8))`` additionally persists a
 fixed-point snapshot of every task so quantized models can be served
@@ -31,6 +38,8 @@ with ``open_predictor(..., quantized=True)``.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -59,6 +68,100 @@ _BATCH_FIELDS = ("stories", "questions", "answers", "story_lengths")
 
 def _task_dirname(task_id: int) -> str:
     return f"task_{task_id:02d}"
+
+
+# ---------------------------------------------------------------------------
+# arrays.bin
+# ---------------------------------------------------------------------------
+#: Every array in ``arrays.bin`` starts at a multiple of this many bytes.
+_ALIGN = 64
+
+
+def _plain_dtype(dtype) -> np.dtype:
+    """``dtype`` if it names a bool, integer or float type. Raw bytes
+    read as any other kind would be object pointers, strings or records."""
+    try:
+        plain = np.dtype(dtype)
+    except TypeError:
+        plain = None
+    if plain is None or plain.kind not in "biuf":
+        raise ValueError(
+            f"arrays.bin holds only bool, integer and float arrays, not {dtype!r}"
+        )
+    return plain
+
+
+def _write_arrays(path: Path, groups: dict[str, dict[str, np.ndarray]]) -> dict:
+    """Write every array of ``groups`` to ``path`` from its own buffer;
+    returns the table ``{group: {name: {dtype, shape, offset}}}``."""
+    table: dict = {}
+    offset = 0
+    with open(path, "wb") as f:
+        for group, arrays in groups.items():
+            entries = table[group] = {}
+            for name, array in arrays.items():
+                array = np.asarray(array)
+                _plain_dtype(array.dtype)
+                if not array.flags.c_contiguous:
+                    array = array.copy(order="C")
+                pad = -offset % _ALIGN
+                f.write(bytes(pad))
+                offset += pad
+                entries[name] = {
+                    "dtype": array.dtype.str,
+                    "shape": list(array.shape),
+                    "offset": offset,
+                }
+                f.write(array)
+                offset += array.nbytes
+    return table
+
+
+def _table_entry(name: str, entry) -> tuple[np.dtype, tuple[int, ...], int]:
+    """(dtype, shape, offset) of one table entry, checked."""
+    try:
+        dtype, shape, offset = entry["dtype"], tuple(entry["shape"]), entry["offset"]
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"arrays.bin table entry {name!r} is malformed") from error
+    if not isinstance(dtype, str) or not all(
+        type(n) is int and n >= 0 for n in (*shape, offset)
+    ):
+        raise ValueError(
+            f"arrays.bin table entry {name!r} needs a dtype string, and a shape "
+            f"and an offset of non-negative integers: {entry!r}"
+        )
+    return _plain_dtype(dtype), shape, offset
+
+
+def _read_arrays(path: Path, table: dict) -> dict[str, dict[str, np.ndarray]]:
+    """Read the arrays ``table`` names from ``path``, each into a newly
+    allocated buffer (so no array keeps another alive).
+
+    The whole table is checked before anything is read; an array that
+    runs past the end of the file, or a read that does not fill its
+    array, raises ``ValueError``.
+    """
+    layout = [
+        (group, name, *_table_entry(f"{group}/{name}", entry))
+        for group, entries in table.items()
+        for name, entry in entries.items()
+    ]
+    groups: dict = {group: {} for group in table}
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        for group, name, dtype, shape, offset in layout:
+            nbytes = math.prod(shape) * dtype.itemsize
+            if offset + nbytes > size:
+                raise ValueError(
+                    f"{path}: {group}/{name} ({nbytes} bytes at offset {offset}) "
+                    f"runs past the end of the file ({size} bytes)"
+                )
+            array = np.empty(shape, dtype)
+            f.seek(offset)
+            if f.readinto(array.reshape(-1).view(np.uint8)) != nbytes:
+                raise ValueError(f"{path}: short read of {group}/{name}")
+            groups[group][name] = array
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +227,16 @@ def _save_task_system(
         system.test_batch.questions,
         system.test_batch.story_lengths,
     )
-    np.savez(task_dir / "arrays.npz", **arrays)
-    np.savez(
-        task_dir / "threshold.npz", **encode_threshold_model(system.threshold_model)
-    )
+    groups = {
+        "model": arrays,
+        "threshold": encode_threshold_model(system.threshold_model),
+    }
 
     quantized = system.quantized
     if qformat is not None:  # explicit request wins: re-snap the floats
         quantized, _ = QuantizedWeights.quantize(system.weights, qformat)
     if quantized is not None:
-        np.savez(
-            task_dir / "quantized.npz", **encode_quantized_weights(quantized)
-        )
+        groups["quantized"] = encode_quantized_weights(quantized)
 
     result = system.train_result
     meta = {
@@ -154,7 +255,12 @@ def _save_task_system(
             "int_bits": quantized.qformat.int_bits,
             "frac_bits": quantized.qformat.frac_bits,
         }
-    (task_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    # A reader sees only what this table lists, so nothing of an earlier
+    # save into the directory (say, its quantized codes) is read back.
+    meta["arrays"] = _write_arrays(task_dir / "arrays.bin", groups)
+    # Compact: json's C encoder runs only without indentation.
+    meta_json = json.dumps(meta, separators=(",", ":"))
+    (task_dir / "meta.json").write_text(meta_json + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -194,25 +300,17 @@ def _load_task_system(task_dir: Path) -> TaskSystem:
     meta = json.loads((task_dir / "meta.json").read_text())
     model_config = MannConfig(**meta["model_config"])
 
-    with np.load(task_dir / "arrays.npz") as data:
-        weights = MannWeights(
-            model_config, *(data[name].copy() for name in _WEIGHT_FIELDS)
-        )
-        batches = {
-            split: EncodedBatch(
-                *(data[f"{split}_{field}"].copy() for field in _BATCH_FIELDS)
-            )
-            for split in ("train", "test")
-        }
-        train_logits = data["train_logits"].copy()
-
-    with np.load(task_dir / "threshold.npz") as data:
-        threshold_model = decode_threshold_model(data)
-
+    arrays = _read_arrays(task_dir / "arrays.bin", meta["arrays"])
+    model = arrays["model"]
+    weights = MannWeights(model_config, *(model[name] for name in _WEIGHT_FIELDS))
+    batches = {
+        split: EncodedBatch(*(model[f"{split}_{field}"] for field in _BATCH_FIELDS))
+        for split in ("train", "test")
+    }
+    threshold_model = decode_threshold_model(arrays["threshold"])
     quantized = None
-    if (task_dir / "quantized.npz").is_file():
-        with np.load(task_dir / "quantized.npz") as data:
-            quantized = decode_quantized_weights(data, model_config)
+    if "quantized" in arrays:
+        quantized = decode_quantized_weights(arrays["quantized"], model_config)
 
     summary = meta["train_result"]
     train_result = TrainResult(
@@ -235,7 +333,7 @@ def _load_task_system(task_dir: Path) -> TaskSystem:
         batch_engine=engine.batch,
         threshold_model=threshold_model,
         train_result=train_result,
-        train_logits=train_logits,
+        train_logits=model["train_logits"],
         quantized=quantized,
     )
 
@@ -255,15 +353,17 @@ def verify_artifacts(directory) -> BabiSuite:
     suite = load_suite(directory)
     for task_id, system in suite.tasks.items():
         task_dir = directory / _task_dirname(task_id)
-        with np.load(task_dir / "arrays.npz") as data:
-            expected_preds = data["expected_test_predictions"].copy()
-            expected_logits = data["train_logits"].copy()
+        table = json.loads((task_dir / "meta.json").read_text())["arrays"]["model"]
+        names = ("expected_test_predictions", "train_logits")
+        expected = _read_arrays(
+            task_dir / "arrays.bin", {"model": {name: table[name] for name in names}}
+        )["model"]
         preds = system.batch_engine.predict(
             system.test_batch.stories,
             system.test_batch.questions,
             system.test_batch.story_lengths,
         )
-        if not np.array_equal(preds, expected_preds):
+        if not np.array_equal(preds, expected["expected_test_predictions"]):
             raise AssertionError(
                 f"task {task_id}: restored predictions differ from the "
                 "predictions recorded at save time"
@@ -273,7 +373,7 @@ def verify_artifacts(directory) -> BabiSuite:
             system.train_batch.questions,
             system.train_batch.story_lengths,
         )
-        if not np.array_equal(logits, expected_logits):
+        if not np.array_equal(logits, expected["train_logits"]):
             raise AssertionError(
                 f"task {task_id}: restored train logits are not bit-exact"
             )

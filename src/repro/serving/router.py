@@ -53,10 +53,9 @@ from repro.serving.scheduler import BatchScheduler
 class _RoutingPredictor:
     """Predictor facade dispatching mixed-task batches to their routes."""
 
-    def __init__(self, routes, route_stats, resolve):
+    def __init__(self, routes, route_stats):
         self._routes = routes
         self._route_stats = route_stats
-        self._resolve = resolve
         #: task -> its PredictorStack and task -> its member index there,
         #: for every route that shares its stack key with another route.
         self._stack_of: dict = {}
@@ -73,6 +72,25 @@ class _RoutingPredictor:
                     self._stack_of[task] = stack
                     self._member[task] = member
         self._stats_lock = threading.Lock()
+
+    def resolve(self, request: QueryRequest):
+        """The route key answering ``request`` (strict, raises early).
+
+        It lives here, not on the router, so that the router's scheduler
+        holding this object makes no reference cycle: a closed router is
+        freed as soon as its last reference goes.
+        """
+        task = request.task
+        if task is None:
+            if len(self._routes) == 1:
+                return next(iter(self._routes))
+            raise ValueError(
+                f"request has no task; routes: {sorted(self._routes)} — set "
+                "QueryRequest.task"
+            )
+        if task not in self._routes:
+            raise KeyError(f"unknown task {task!r}; routes: {sorted(self._routes)}")
+        return task
 
     def predict(self, request: QueryRequest) -> QueryResponse:
         return first_answer(self.predict_batch([request]))
@@ -93,7 +111,7 @@ class _RoutingPredictor:
         call has returned, so a route whose call ran before a failing
         one counts nothing.
         """
-        tasks = [self._resolve(request) for request in requests]
+        tasks = [self.resolve(request) for request in requests]
         counts = Counter(tasks)
         stack_of = self._stack_of
         present = Counter(stack_of[task] for task in counts if task in stack_of)
@@ -155,9 +173,7 @@ class ModelRouter:
         self.route_stats: dict = {
             task: ServingStats() for task in self._routes
         }
-        self._dispatch = _RoutingPredictor(
-            self._routes, self.route_stats, self.resolve_task
-        )
+        self._dispatch = _RoutingPredictor(self._routes, self.route_stats)
         # scheduler_kwargs forwards the admission-control knobs
         # (queue_cap, overload_policy, inline_flush) and the clock
         # without re-declaring them.
@@ -262,19 +278,7 @@ class ModelRouter:
 
     def resolve_task(self, request: QueryRequest):
         """The route key answering ``request`` (strict, raises early)."""
-        task = request.task
-        if task is None:
-            if len(self._routes) == 1:
-                return next(iter(self._routes))
-            raise ValueError(
-                f"request has no task; routes: {self.tasks} — set "
-                "QueryRequest.task"
-            )
-        if task not in self._routes:
-            raise KeyError(
-                f"unknown task {task!r}; routes: {self.tasks}"
-            )
-        return task
+        return self._dispatch.resolve(request)
 
     def predictor(self, task) -> Predictor:
         """The underlying predictor of one route."""
@@ -286,7 +290,7 @@ class ModelRouter:
         """Enqueue one request on the shared scheduler (its task is
         validated now). A full bounded queue raises
         :class:`~repro.serving.api.OverloadError`."""
-        self.resolve_task(request)
+        self._dispatch.resolve(request)
         return self.scheduler.submit(request)
 
     # AsyncFrontend calls it by this name.

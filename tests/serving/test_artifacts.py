@@ -1,6 +1,7 @@
 """Artifact round-trip: save_suite / load_suite must be bit-exact."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.artifacts import (
     save_suite,
     verify_artifacts,
 )
+from repro.artifacts.store import _read_arrays
 from repro.eval.experiments import run_table1
 from repro.eval.suite import BabiSuite, SuiteConfig
 from repro.mann.quantize import QFormat, QuantizedWeights
@@ -142,20 +144,28 @@ class TestHistogramCodec:
 
 
 class TestFormatVersion:
-    def test_current_version_is_supported(self):
-        assert FORMAT_VERSION == 2
-        assert FORMAT_VERSION in SUPPORTED_VERSIONS
+    def test_current_version_is_supported(self, artifacts_dir):
+        assert FORMAT_VERSION == 3
+        assert SUPPORTED_VERSIONS == (3,)
         assert check_format_version(FORMAT_VERSION) == FORMAT_VERSION
+        for task in ("task_01", "task_06"):
+            files = sorted(path.name for path in (artifacts_dir / task).iterdir())
+            assert files == ["arrays.bin", "meta.json"]
 
-    def test_older_supported_version_accepted(self, tiny_suite, tmp_path):
-        """A PR 3 (version 1) directory still loads: the v2 additions
-        are optional files older writers never produced."""
+    def test_older_versions_refused_with_resave_hint(self, tiny_suite, tmp_path):
+        """Version 1 and 2 directories (``.npz`` files) are not read any
+        more; the error says how to get a readable directory."""
         directory = save_suite(tiny_suite, tmp_path / "arts")
         marker = directory / "suite.json"
         manifest = json.loads(marker.read_text())
-        manifest["format_version"] = 1
-        marker.write_text(json.dumps(manifest))
-        assert load_suite(directory).task_ids == tiny_suite.task_ids
+        for version in (1, 2):
+            manifest["format_version"] = version
+            marker.write_text(json.dumps(manifest))
+            with pytest.raises(
+                ValueError,
+                match=f"version {version} .*re-save the suite with `repro train --save",
+            ):
+                load_suite(directory)
 
     def test_future_version_rejected_with_upgrade_hint(
         self, tiny_suite, tmp_path
@@ -173,6 +183,8 @@ class TestFormatVersion:
             check_format_version(None)
         with pytest.raises(ValueError, match="format_version"):
             check_format_version("2")
+        with pytest.raises(ValueError, match="format_version"):
+            check_format_version(True)  # JSON true, which equals 1
 
 
 class TestQuantizedArtifacts:
@@ -203,11 +215,15 @@ class TestQuantizedArtifacts:
         directory = save_suite(
             tiny_suite, tmp_path / "arts", qformat=QFormat(3, 8)
         )
-        path = directory / "task_01" / "quantized.npz"
-        with np.load(path) as data:
-            arrays = {key: data[key].copy() for key in data}
-        arrays["code_w_o"][0, 0] += 1
-        np.savez(path, **arrays)
+        task_dir = directory / "task_01"
+        meta = json.loads((task_dir / "meta.json").read_text())
+        entry = meta["arrays"]["quantized"]["code_w_o"]
+        dtype = np.dtype(entry["dtype"])
+        with open(task_dir / "arrays.bin", "r+b") as f:
+            f.seek(entry["offset"])
+            code = np.frombuffer(f.read(dtype.itemsize), dtype) + 1
+            f.seek(entry["offset"])
+            f.write(code.astype(dtype).tobytes())
         with pytest.raises(AssertionError, match="quantized weight"):
             verify_artifacts(directory)
 
@@ -234,6 +250,20 @@ class TestQuantizedArtifacts:
 
     def test_unquantized_artifacts_have_no_snapshot(self, artifacts_dir):
         assert load_suite(artifacts_dir).tasks[1].quantized is None
+
+    def test_resave_leaves_no_stale_snapshot(self, tiny_suite, tmp_path):
+        """A suite saved without ``qformat`` over a quantized save of
+        another suite (same task ids) loads no quantized weights: none
+        of the first suite's codes are attached to the second's model."""
+        directory = save_suite(tiny_suite, tmp_path / "arts", qformat=QFormat(3, 8))
+        other = BabiSuite.build(
+            SuiteConfig(task_ids=(1, 6), n_train=20, n_test=5, epochs=2, seed=1)
+        )
+        save_suite(other, directory)
+        assert all(
+            system.quantized is None for system in load_suite(directory).tasks.values()
+        )
+        assert verify_artifacts(directory).task_ids == [1, 6]
 
     def test_quantized_serving_matches_in_memory_quantization(
         self, tiny_suite, quantized_dir
@@ -266,6 +296,132 @@ class TestQuantizedArtifacts:
 
         with pytest.raises(ValueError, match="quantized"):
             open_predictor(str(artifacts_dir), 1, quantized=True)
+
+
+WEIGHTS = ("w_emb_a", "w_emb_c", "w_emb_q", "w_r", "w_o", "t_a", "t_c")
+
+
+def _task_files(directory, task_id=1):
+    task_dir = directory / f"task_{task_id:02d}"
+    return task_dir / "meta.json", task_dir / "arrays.bin"
+
+
+def _edit_entry(meta_path, group, name, **changes):
+    meta = json.loads(meta_path.read_text())
+    meta["arrays"][group][name].update(changes)
+    meta_path.write_text(json.dumps(meta))
+
+
+class TestArrayFile:
+    """``arrays.bin`` and the table in ``meta.json`` that describes it."""
+
+    @pytest.fixture(scope="class")
+    def mixed_suite(self, tiny_suite):
+        """tiny_suite with KDE densities on task 1, Fortran-ordered train
+        logits (not C-contiguous) there too, and on task 6 a threshold
+        model with no correct sample: its count rows are (0, 2) and
+        (0, 1) arrays."""
+        one, six = tiny_suite.tasks[1], tiny_suite.tasks[6]
+        suite = BabiSuite(config=tiny_suite.config, vocab=tiny_suite.vocab)
+        suite.tasks[1] = replace(
+            one,
+            threshold_model=fit_threshold_model(
+                one.train_logits, one.train_batch.answers, density="kde"
+            ),
+            train_logits=np.asfortranarray(one.train_logits),
+        )
+        suite.tasks[6] = replace(
+            six,
+            threshold_model=fit_threshold_model(np.array([[5.0, 0.0]]), np.array([1])),
+        )
+        return suite
+
+    def test_round_trip_keeps_every_array(self, mixed_suite, tmp_path):
+        """Every array comes back with its dtype, shape and bytes, in a
+        buffer of its own: 0-d, empty, bool, KDE and quantized ones."""
+        qformat = QFormat(3, 8)
+        directory = save_suite(mixed_suite, tmp_path / "arts", qformat=qformat)
+        for task_id, system in mixed_suite.tasks.items():
+            meta_path, bin_path = _task_files(directory, task_id)
+            stored = _read_arrays(bin_path, json.loads(meta_path.read_text())["arrays"])
+            batches = {"train": system.train_batch, "test": system.test_batch}
+            test = system.test_batch
+            expected = {
+                "model": {
+                    **{name: getattr(system.weights, name) for name in WEIGHTS},
+                    **{
+                        f"{split}_{field}": getattr(batch, field)
+                        for split, batch in batches.items()
+                        for field in ("stories", "questions", "answers", "story_lengths")
+                    },
+                    "train_logits": system.train_logits,
+                    "expected_test_predictions": system.batch_engine.predict(
+                        test.stories, test.questions, test.story_lengths
+                    ),
+                },
+                "threshold": encode_threshold_model(system.threshold_model),
+                "quantized": encode_quantized_weights(
+                    QuantizedWeights.quantize(system.weights, qformat)[0]
+                ),
+            }
+            assert stored.keys() == expected.keys()
+            for group, arrays in expected.items():
+                assert stored[group].keys() == arrays.keys()
+                for name, array in arrays.items():
+                    array, restored = np.asarray(array), stored[group][name]
+                    assert restored.dtype == array.dtype, (group, name)
+                    assert restored.shape == array.shape, (group, name)
+                    assert restored.tobytes() == array.tobytes(), (group, name)
+                    assert restored.flags.owndata, (group, name)
+            if task_id == 6:  # the cases this test is for are present
+                assert stored["threshold"]["uses_kde"].shape == ()
+                assert stored["threshold"]["uses_kde"].dtype == np.bool_
+                assert stored["threshold"]["pos_edges"].shape == (0, 2)
+                assert stored["threshold"]["pos_counts"].shape == (0, 1)
+        loaded = verify_artifacts(directory)
+        assert loaded.tasks[1].threshold_model.uses_kde
+        assert np.array_equal(
+            loaded.tasks[1].threshold_model.thresholds(0.9),
+            mixed_suite.tasks[1].threshold_model.thresholds(0.9),
+        )
+
+    @pytest.mark.parametrize("dtype", ["|O", "<U4", "|S8", "no such type"])
+    def test_non_numeric_dtype_rejected_before_reading(
+        self, tiny_suite, tmp_path, dtype
+    ):
+        directory = save_suite(tiny_suite, tmp_path / "arts")
+        meta_path, bin_path = _task_files(directory)
+        _edit_entry(meta_path, "threshold", "order", dtype=dtype)
+        bin_path.unlink()  # a read would fail with FileNotFoundError
+        with pytest.raises(ValueError, match="only bool, integer and float"):
+            load_suite(directory)
+
+    def test_truncated_file_rejected(self, tiny_suite, tmp_path):
+        directory = save_suite(tiny_suite, tmp_path / "arts")
+        _, bin_path = _task_files(directory)
+        data = bin_path.read_bytes()
+        bin_path.write_bytes(data[: len(data) - 1])
+        with pytest.raises(ValueError, match="past the end"):
+            load_suite(directory)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"shape": [-2, -3]}, {"shape": [2.0, 3]}, {"offset": True}, {"offset": -64}],
+        ids=["negative-dims", "float-dim", "bool-offset", "negative-offset"],
+    )
+    def test_malformed_entry_rejected(self, tiny_suite, tmp_path, change):
+        directory = save_suite(tiny_suite, tmp_path / "arts")
+        meta_path, _ = _task_files(directory)
+        _edit_entry(meta_path, "model", "w_o", **change)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            load_suite(directory)
+
+    def test_offset_past_end_rejected(self, tiny_suite, tmp_path):
+        directory = save_suite(tiny_suite, tmp_path / "arts")
+        meta_path, bin_path = _task_files(directory)
+        _edit_entry(meta_path, "model", "w_o", offset=bin_path.stat().st_size + 64)
+        with pytest.raises(ValueError, match="past the end"):
+            load_suite(directory)
 
 
 class TestFailureModes:

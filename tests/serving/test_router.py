@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +69,24 @@ class TestOpen:
             ModelRouter({})
         with pytest.raises(TypeError, match="artifacts"):
             ModelRouter.open(42)
+
+    def test_closed_router_is_freed_without_the_cycle_collector(
+        self, tiny_suite, artifacts_dir
+    ):
+        """A closed router, its engines and the suite it loaded go with
+        its last reference: nothing in it waits for the cyclic garbage
+        collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            router = ModelRouter.open(str(artifacts_dir))
+            router.submit(_request(tiny_suite, 1, 0)).result(timeout=10)
+            refs = [weakref.ref(router), weakref.ref(router.predictor(1).engine)]
+            router.close()
+            del router
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestRouting:
